@@ -269,7 +269,11 @@ class BlobReader
 struct BlobContainer
 {
     static constexpr std::uint32_t kMagic = 0x4b435343u; // "CSCK"
-    static constexpr std::uint32_t kVersion = 1;
+    /**
+     * Format version; bumped whenever the payload layout changes or a
+     * knob leaves the config digest.
+     */
+    static constexpr std::uint32_t kVersion = 2;
 
     /** Wrap @p payload in the magic/version/digest/CRC frame. */
     static std::vector<std::uint8_t>

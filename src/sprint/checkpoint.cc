@@ -1306,9 +1306,6 @@ struct CheckpointIO
         d.u64(m.migration_cycles);
         d.i64(m.spin_tries_before_pause);
         d.i64(static_cast<int>(m.loop));
-        // dispatch_threads / dispatch_gang are excluded: results are
-        // bit-identical for every value (gated differentially), so a
-        // checkpoint may move to a host with a different core count.
         const TechParams &tech = m.energy.tech();
         d.i64(tech.node_nm);
         d.f64(tech.vdd);
@@ -1352,8 +1349,6 @@ struct CheckpointIO
         d.i64(static_cast<int>(cfg.idle_model));
         d.f64(cfg.idle_tolerance);
         d.boolean(cfg.generic_dispatch);
-        d.boolean(cfg.pipeline_build);
-        d.boolean(cfg.verify_pipeline_build);
         d.f64(cfg.policy.risk_quantile);
         d.i64(static_cast<int>(cfg.surrogate.tier));
         d.i64(cfg.surrogate.min_calibration);

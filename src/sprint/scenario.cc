@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 
 #include "common/logging.hh"
 #include "sprint/checkpoint.hh"
@@ -443,18 +442,6 @@ class ReadyQueue
         ++live_;
     }
 
-    /** The entry popOrdered() would dispatch (Fifo/Urgency only). */
-    const ScenarioTaskExecution *
-    peekOrdered() const
-    {
-        if (live_ == 0 || order_ == DispatchOrder::Custom)
-            return nullptr;
-        return slots_[order_ == DispatchOrder::Urgency
-                          ? heap_.front().slot
-                          : firstLive()]
-            .get();
-    }
-
     /** Dispatch under the declared static order (Fifo or Urgency). */
     std::unique_ptr<ScenarioTaskExecution>
     popOrdered()
@@ -558,86 +545,6 @@ class ReadyQueue
     std::vector<HeapKey> heap_; ///< Urgency only
     std::size_t live_ = 0;
     mutable std::size_t head_ = 0; ///< Fifo scan resume point
-};
-
-/** The serial program build the engine has always performed. */
-ParallelProgram
-buildProgram(const ScenarioConfig &cfg, const ScenarioTask &task)
-{
-    return cfg.program_factory
-               ? cfg.program_factory(task)
-               : buildKernelProgram(task.kernel, task.size, task.seed);
-}
-
-/** Tasks match on every field the program build can observe. */
-bool
-sameTask(const ScenarioTask &a, const ScenarioTask &b)
-{
-    return a.arrival == b.arrival && a.kernel == b.kernel &&
-           a.size == b.size && a.seed == b.seed &&
-           a.priority == b.priority && a.deadline == b.deadline;
-}
-
-/**
- * One program build in flight on a helper thread
- * (ScenarioConfig::pipeline_build): the predicted next task plus the
- * future of its build. The factory is pure, so a prebuilt program for
- * a matching task is the serial build; a misprediction is drained and
- * discarded.
- */
-class ProgramPrebuilder
-{
-  public:
-    explicit ProgramPrebuilder(const ScenarioConfig &cfg) : cfg(cfg) {}
-
-    /** Drain any in-flight build before the futures dangle. */
-    ~ProgramPrebuilder() { cancel(); }
-
-    /** Start building @p task's program unless it is already queued. */
-    void
-    start(const ScenarioTask &task)
-    {
-        if (pending && sameTask(task_for, task))
-            return;
-        cancel();
-        task_for = task;
-        building = std::async(std::launch::async,
-                              [this] { return buildProgram(cfg, task_for); });
-        pending = true;
-    }
-
-    /**
-     * The prebuilt program when it was built for exactly @p task
-     * (blocking on the helper thread if the build is still running);
-     * null on a misprediction or when nothing was prebuilt.
-     */
-    std::unique_ptr<ParallelProgram>
-    take(const ScenarioTask &task)
-    {
-        if (!pending)
-            return nullptr;
-        pending = false;
-        if (!sameTask(task_for, task)) {
-            building.get(); // drain the mispredicted build
-            return nullptr;
-        }
-        return std::make_unique<ParallelProgram>(building.get());
-    }
-
-  private:
-    void
-    cancel()
-    {
-        if (pending) {
-            building.get();
-            pending = false;
-        }
-    }
-
-    const ScenarioConfig &cfg;
-    ScenarioTask task_for;
-    std::future<ParallelProgram> building;
-    bool pending = false;
 };
 
 /**
@@ -828,7 +735,6 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
                                     : policy->dispatchOrder();
     ReadyQueue ready(order, std::move(ck.ready));
     std::unique_ptr<ScenarioTaskExecution> current;
-    ProgramPrebuilder prebuild(cfg);
 
     for (std::uint64_t completed = 0; completed < max_tasks;) {
         if (!current) {
@@ -900,18 +806,11 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
                         break;
                     }
                 }
-                current->program = prebuild.take(current->task);
-                if (!current->program) {
-                    current->program = std::make_unique<ParallelProgram>(
-                        buildProgram(cfg, current->task));
-                } else if (cfg.verify_pipeline_build) {
-                    const ParallelProgram serial =
-                        buildProgram(cfg, current->task);
-                    SPRINT_ASSERT(
-                        programDigest(*current->program) ==
-                            programDigest(serial),
-                        "prebuilt program diverged from serial build");
-                }
+                const ScenarioTask &t = current->task;
+                current->program = std::make_unique<ParallelProgram>(
+                    cfg.program_factory
+                        ? cfg.program_factory(t)
+                        : buildKernelProgram(t.kernel, t.size, t.seed));
                 current->machine =
                     prepareMachine(*current->program, current->run_cfg);
                 if (cfg.warm_caches && prev_machine) {
@@ -924,23 +823,6 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
                     prev_program.reset();
                 }
                 current->started = true;
-            }
-            // Overlap the predicted next dispatch's program build
-            // with this task's pump. Only a fresh task at the front
-            // of a declared order (or, with an empty queue, the
-            // peeked arrival) is predictable; anything else —
-            // including a misprediction caused by a higher-urgency
-            // mid-pump arrival — falls back to the serial build.
-            if (cfg.pipeline_build &&
-                max_tasks - completed >= 2) {
-                const ScenarioTaskExecution *up = ready.peekOrdered();
-                if (up) {
-                    if (!up->started)
-                        prebuild.start(up->task);
-                } else if (ready.empty()) {
-                    if (const ScenarioTask *n = peekArrival(cfg, ck))
-                        prebuild.start(*n);
-                }
             }
             // The (re-)activation ramp heats nothing (cores are still
             // power-gated), even when no idle gap preceded this

@@ -192,7 +192,7 @@ struct ScenarioConfig
     /** Endpoint tolerance of the quiescent idle path [°C]. */
     Celsius idle_tolerance = 0.01;
 
-    // --- Dispatch / build pipeline knobs (defaults = classic) ------
+    // --- Dispatch knob (default = classic) ------------------------
 
     /**
      * Testing knob: ignore the policy's declared dispatchOrder() and
@@ -202,26 +202,6 @@ struct ScenarioConfig
      * harness runs both.
      */
     bool generic_dispatch = false;
-
-    /**
-     * Build the next task's program on a helper thread while the
-     * current task pumps, taking the build off the timeline's
-     * critical path for build-heavy factories. program_factory must
-     * be a pure, thread-safe function of the task it receives (the
-     * stock factories are); a prebuilt program is used only when the
-     * dispatched task is exactly the one it was built for, so a
-     * mispredicted dispatch just falls back to the serial build.
-     */
-    bool pipeline_build = false;
-
-    /**
-     * Determinism guard for pipeline_build: also build the program
-     * serially at dispatch and require the prebuilt one to be
-     * byte-identical (programDigest over every materialized op).
-     * Costs a second build per task — a test/CI knob, not a fast
-     * path.
-     */
-    bool verify_pipeline_build = false;
 
     // --- Surrogate fidelity tier (default = cycle-accurate) --------
 

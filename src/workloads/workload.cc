@@ -132,49 +132,4 @@ countProgramOps(const ParallelProgram &program)
     return total;
 }
 
-namespace {
-
-/** Fold @p value into the FNV-1a state @p h. */
-void
-fnv1a(std::uint64_t &h, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        h ^= (value >> (8 * byte)) & 0xFF;
-        h *= 1099511628211ULL;
-    }
-}
-
-/** Fold a string into the FNV-1a state @p h, length included. */
-void
-fnv1a(std::uint64_t &h, const std::string &s)
-{
-    fnv1a(h, static_cast<std::uint64_t>(s.size()));
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-}
-
-} // namespace
-
-std::uint64_t
-programDigest(const ParallelProgram &program)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    fnv1a(h, program.name());
-    fnv1a(h, static_cast<std::uint64_t>(program.phases().size()));
-    for (const auto &phase : program.phases()) {
-        fnv1a(h, phase.name);
-        fnv1a(h, static_cast<std::uint64_t>(phase.kind));
-        fnv1a(h, static_cast<std::uint64_t>(phase.num_tasks));
-        for (std::size_t t = 0; t < phase.num_tasks; ++t) {
-            auto stream = phase.make_task(t);
-            MicroOp op;
-            while (stream->next(op))
-                fnv1a(h, op.bits);
-        }
-    }
-    return h;
-}
-
 } // namespace csprint

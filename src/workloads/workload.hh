@@ -79,16 +79,6 @@ ParallelProgram buildKernelProgram(KernelId kernel, InputSize size,
 /** Total ops a single-threaded execution of the program retires. */
 std::uint64_t countProgramOps(const ParallelProgram &program);
 
-/**
- * Content digest of @p program: a 64-bit FNV-1a hash over the program
- * name, every phase's (name, kind, task count), and every op each
- * task materializes. Two programs digest equal iff the machine sees
- * byte-identical op streams — the determinism guard behind
- * ScenarioConfig::verify_pipeline_build. Materializes every stream,
- * so it costs about as much as generating the program's full trace.
- */
-std::uint64_t programDigest(const ParallelProgram &program);
-
 } // namespace csprint
 
 #endif // CSPRINT_WORKLOADS_WORKLOAD_HH

@@ -307,6 +307,28 @@ TEST(CheckpointRejection, WrongConfigurationDigest)
     }
 }
 
+TEST(CheckpointRejection, EarlierFormatVersion)
+{
+    // Version 1 blobs carried config digests over knobs that no longer
+    // exist; they must be refused by version, not misread.
+    ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
+                                      ArrivalPattern::Periodic, 3);
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    std::vector<std::uint8_t> blob = serializeCheckpoint(cfg, ck);
+
+    // Header: u32 magic, then the u32 version, little-endian.
+    ASSERT_GE(blob.size(), 8u);
+    ASSERT_EQ(blob[4], BlobContainer::kVersion);
+    blob[4] = 1;
+    blob[5] = blob[6] = blob[7] = 0;
+    try {
+        deserializeCheckpoint(cfg, blob);
+        FAIL() << "a version-1 checkpoint loaded";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(e.kind(), CheckpointError::Kind::BadVersion);
+    }
+}
+
 TEST(CheckpointRejection, FidelityTierChangesTheDigest)
 {
     // Every surrogate knob shapes the replayed trajectory, so each

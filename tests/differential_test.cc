@@ -265,25 +265,6 @@ TEST(Differential, SparseDirectoryMatchesFullMap)
     }
 }
 
-TEST(Differential, ParallelDispatchMatchesSerial)
-{
-    // Partitioned event-loop dispatch must be bit-identical to the
-    // serial loop for every host thread count.
-    Rng rng(diffSeed() ^ 0x90a11e70ULL);
-    for (int i = 0; i < 3; ++i) {
-        ScenarioConfig cfg = randomScenario(rng);
-        SCOPED_TRACE(describe(cfg, i));
-        const ScenarioResult serial = runScenario(cfg);
-        for (int threads : {2, 8}) {
-            SCOPED_TRACE("dispatch_threads=" +
-                         std::to_string(threads));
-            ScenarioConfig par = cfg;
-            par.platform.machine.dispatch_threads = threads;
-            expectSameScenario(serial, runScenario(par));
-        }
-    }
-}
-
 TEST(Differential, HeapDispatchMatchesGenericScan)
 {
     // The ready queue's Urgency heap against the retained
@@ -304,23 +285,6 @@ TEST(Differential, HeapDispatchMatchesGenericScan)
         ScenarioConfig generic = cfg;
         generic.generic_dispatch = true;
         expectSameScenario(heap, runScenario(generic));
-    }
-}
-
-TEST(Differential, PipelinedBuildMatchesSerial)
-{
-    // Building task i+1's program while task i pumps must be
-    // invisible; verify_pipeline_build additionally digests every
-    // prebuilt program against a serial rebuild inside the engine.
-    Rng rng(diffSeed() ^ 0x9192e11eULL);
-    for (int i = 0; i < 3; ++i) {
-        ScenarioConfig cfg = randomScenario(rng);
-        SCOPED_TRACE(describe(cfg, i));
-        const ScenarioResult serial = runScenario(cfg);
-        ScenarioConfig piped = cfg;
-        piped.pipeline_build = true;
-        piped.verify_pipeline_build = true;
-        expectSameScenario(serial, runScenario(piped));
     }
 }
 
