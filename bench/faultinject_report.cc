@@ -6,15 +6,16 @@
  *
  * Gates the tool enforces itself (non-zero exit on failure):
  *
- *  1. recovery_parity — for every FaultKind, a supervised shard that
- *     crashes / corrupts its newest checkpoint / throws / stalls and
- *     is recovered from persisted state must finish bit-identical to
- *     the uninterrupted run: every aggregate, every trace sample.
+ *  1. recovery_parity — for every thread-level FaultKind, a fleet
+ *     device (runFleetInProcess) that crashes / corrupts its newest
+ *     checkpoint / throws / stalls and is recovered from persisted
+ *     state must finish bit-identical to the uninterrupted run:
+ *     every aggregate, every trace sample.
  *
  *  2. randomized_batch_parity — a CSPRINT_DIFF_SEED-derived fault
- *     plan over a multi-shard batch (the seed rotates in CI, so every
+ *     plan over a three-range fleet (the seed rotates in CI, so every
  *     run exercises a different fault/checkpoint mix) recovers every
- *     shard bit-exactly.
+ *     device bit-exactly.
  *
  *  3. corruption_rejection — sampled truncation prefixes and bit
  *     flips of a serialized checkpoint must all fail with a typed
@@ -37,6 +38,7 @@
 #include "common/args.hh"
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
+#include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
 #include "sprint/supervisor.hh"
 #include "workloads/workload.hh"
@@ -45,21 +47,41 @@ using namespace csprint;
 
 namespace {
 
-ScenarioConfig
-shardScenario(std::uint64_t seed, int tasks)
+/**
+ * A one-class fleet of @p devices identical 16-core greedy devices
+ * (small PCM, 25 C, periodic warm-cache sobel-A tasks): each device's
+ * own seed is drawn from @p seed.
+ */
+FleetSpec
+shardFleet(std::uint64_t seed, int tasks, int devices)
 {
-    ScenarioConfig cfg;
-    cfg.platform = SprintConfig::parallelSprint(16, kSmallPcm);
-    cfg.policy.kind = SprintPolicyKind::GreedyActivity;
-    cfg.policy.pacing_period = 2.5e-3;
-    cfg.pattern = ArrivalPattern::Periodic;
-    cfg.num_tasks = tasks;
-    cfg.period = 2.5e-3;
-    cfg.kernel = KernelId::Sobel;
-    cfg.size = InputSize::A;
-    cfg.seed = seed;
-    cfg.warm_caches = true;
-    return cfg;
+    FleetSpec spec;
+    spec.seed = seed;
+    spec.num_devices = devices;
+    FleetDeviceClass c;
+    c.cores = 16;
+    c.pcm_mass_lo = c.pcm_mass_hi = kSmallPcm;
+    c.ambient_lo = c.ambient_hi = 25.0;
+    c.policy = SprintPolicyKind::GreedyActivity;
+    c.pacing_period = c.period = 2.5e-3;
+    c.pattern = ArrivalPattern::Periodic;
+    c.num_tasks = tasks;
+    c.kernel = KernelId::Sobel;
+    c.size = InputSize::A;
+    c.warm_caches = true;
+    spec.classes.push_back(c);
+    return spec;
+}
+
+/** One range per device, so every device is retried on its own. */
+FleetOptions
+shardOptions(const std::string &store_dir, int devices)
+{
+    FleetOptions opts;
+    opts.num_workers = devices;
+    opts.checkpoint_every_tasks = 2;
+    opts.store_dir = store_dir;
+    return opts;
 }
 
 /** Bit-exact comparison of two scenario results (incl. traces). */
@@ -165,35 +187,34 @@ main(int argc, char **argv)
     {
         const char *name;
         bool exact = false;
-        int retries = 0;
+        int respawns = 0;
         std::uint64_t recoveries = 0;
         std::string why;
     };
     std::vector<KindRow> kind_rows;
-    const ScenarioConfig parity_cfg = shardScenario(seed, tasks);
+    const FleetSpec parity_fleet = shardFleet(seed, tasks, 1);
+    const ScenarioConfig parity_cfg = fleetDeviceConfig(parity_fleet, 0);
     const ScenarioResult direct = runScenario(parity_cfg);
     for (FaultKind kind : kinds) {
         KindRow row;
         row.name = faultKindName(kind);
-        SupervisorOptions opts;
-        opts.store_dir = freshDir(row.name);
-        opts.checkpoint_every_tasks = 2;
+        FleetOptions opts = shardOptions(freshDir(row.name), 1);
         opts.max_retries = 2;
         opts.paranoia = true;
         if (kind == FaultKind::Stall)
             opts.watchdog_deadline = 0.2;
         FaultPlan plan;
         plan.faults.push_back({0, kind, 2});
-        const SupervisedBatchResult batch =
-            runSupervisedScenarioBatch({parity_cfg}, opts, plan);
-        const ShardOutcome &shard = batch.shards[0];
-        row.retries = shard.retries;
-        row.recoveries = shard.recoveries;
-        row.exact = !shard.degraded && shard.retries >= 1 &&
-                    exactSame(direct, shard.result, row.why);
-        if (shard.degraded)
-            row.why = "shard degraded";
-        else if (shard.retries < 1)
+        const FleetResult res =
+            runFleetInProcess(parity_fleet, opts, plan);
+        const FleetWorkerStats &range = res.workers[0];
+        row.respawns = range.respawns;
+        row.recoveries = range.recoveries;
+        row.exact = !range.degraded && range.respawns >= 1 &&
+                    exactSame(direct, res.devices[0].result, row.why);
+        if (range.degraded)
+            row.why = "range degraded";
+        else if (range.respawns < 1)
             row.why = "fault never fired";
         std::cout << "recovery parity [" << row.name << "]: "
                   << (row.exact ? "exact" : "MISMATCH");
@@ -204,26 +225,23 @@ main(int argc, char **argv)
         kind_rows.push_back(std::move(row));
     }
 
-    // --- Gate 2: seed-randomized multi-shard plan. -----------------
-    std::vector<ScenarioConfig> shards;
-    for (std::uint64_t s = 0; s < 3; ++s)
-        shards.push_back(shardScenario(seed * 977 + s, tasks));
-    SupervisorOptions batch_opts;
-    batch_opts.store_dir = freshDir("batch");
-    batch_opts.checkpoint_every_tasks = 2;
+    // --- Gate 2: seed-randomized multi-range plan. -----------------
+    const FleetSpec batch_fleet = shardFleet(seed * 977, tasks, 3);
+    FleetOptions batch_opts = shardOptions(freshDir("batch"), 3);
     batch_opts.max_retries = 3;
     batch_opts.watchdog_deadline = 0.2;
     const FaultPlan batch_plan = FaultPlan::randomized(
-        seed, static_cast<int>(shards.size()), tasks / 2);
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(shards, batch_opts, batch_plan);
+        seed, batch_fleet.num_devices, tasks / 2);
+    const FleetResult batch =
+        runFleetInProcess(batch_fleet, batch_opts, batch_plan);
     bool batch_ok = batch.allOk();
-    std::string batch_why = batch_ok ? "" : "degraded shard";
-    for (std::size_t i = 0; batch_ok && i < shards.size(); ++i) {
-        batch_ok = exactSame(runScenario(shards[i]),
-                             batch.shards[i].result, batch_why);
+    std::string batch_why = batch_ok ? "" : "degraded range";
+    for (int d = 0; batch_ok && d < batch_fleet.num_devices; ++d) {
+        batch_ok = exactSame(
+            runScenario(fleetDeviceConfig(batch_fleet, d)),
+            batch.devices[static_cast<std::size_t>(d)].result, batch_why);
         if (!batch_ok)
-            batch_why = "shard " + std::to_string(i) + ": " + batch_why;
+            batch_why = "device " + std::to_string(d) + ": " + batch_why;
     }
     std::cout << "randomized batch parity (seed " << seed
               << "): " << (batch_ok ? "exact" : "MISMATCH");
@@ -297,21 +315,21 @@ main(int argc, char **argv)
     }
     out.precision(6);
     out << "{\n"
-        << "  \"schema\": \"csprint-faultinject-bench-v1\",\n"
+        << "  \"schema\": \"csprint-faultinject-bench-v2\",\n"
         << "  \"diff_seed\": " << seed << ",\n"
-        << "  \"tasks_per_shard\": " << tasks << ",\n"
+        << "  \"tasks_per_device\": " << tasks << ",\n"
         << "  \"recovery_parity\": [\n";
     for (std::size_t i = 0; i < kind_rows.size(); ++i) {
         const KindRow &row = kind_rows[i];
         out << "    {\"fault\": \"" << row.name
             << "\", \"exact\": " << (row.exact ? "true" : "false")
-            << ", \"retries\": " << row.retries
+            << ", \"respawns\": " << row.respawns
             << ", \"recoveries\": " << row.recoveries << "}"
             << (i + 1 < kind_rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n"
-        << "  \"randomized_batch_parity\": {\"shards\": "
-        << shards.size()
+        << "  \"randomized_batch_parity\": {\"devices\": "
+        << batch_fleet.num_devices
         << ", \"exact\": " << (batch_ok ? "true" : "false") << "},\n"
         << "  \"corruption_rejection\": {\"attempted\": " << attempted
         << ", \"rejected\": " << rejected

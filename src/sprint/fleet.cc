@@ -1,6 +1,7 @@
 #include "sprint/fleet.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <chrono>
@@ -9,9 +10,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -27,7 +30,7 @@ namespace csprint {
 
 namespace {
 
-constexpr std::uint32_t kFleetSpecVersion = 1;
+constexpr std::uint32_t kFleetSpecVersion = 2;
 constexpr std::uint32_t kFleetAggVersion = 1;
 
 /**
@@ -55,7 +58,7 @@ enum FrameType : std::uint32_t
     kFrameHello = 1,      ///< worker up: begin, end, attempt
     kFrameBeat = 2,       ///< heartbeat: device index
     kFrameFaultFired = 3, ///< one-shot fault index just fired
-    kFrameDeviceDone = 4, ///< device index + final checkpoint blob
+    kFrameDeviceDone = 4, ///< device, recoveries, final checkpoint blob
     kFrameRangeDone = 5,  ///< sealed FleetAggregates of the range
     kFrameError = 6,      ///< human-readable failure message
 };
@@ -460,7 +463,7 @@ deserializeFleetSpec(const std::vector<std::uint8_t> &blob,
     plan.faults = r.vec<FaultSpec>(24, [](BlobReader &r) {
         FaultSpec f;
         f.shard = static_cast<int>(r.i64());
-        f.kind = decodeEnum<FaultKind>(r.i64(), 7, "fault kind");
+        f.kind = decodeEnum<FaultKind>(r.i64(), 6, "fault kind");
         f.at_seq = r.u64();
         return f;
     });
@@ -677,7 +680,240 @@ defaultFleetWorkerPath()
     return "csprint-fleet-worker";
 }
 
-// --- In-process transport -------------------------------------------
+// --- One range loop, one supervision semantics ----------------------
+//
+// Both transports run a device range through runFleetRange() and
+// supervise it by the same rules: up to max_retries retries per
+// range with retryBackoffSeconds() backoff, each retry resuming every
+// device from the store, and degrade-not-drop result assembly. They
+// differ only in how a range attempt is started and stopped
+// (std::thread + cancel flag vs. fork/exec + SIGKILL) and in how an
+// injected fault ends it (a throw vs. _exit/SIGKILL).
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/**
+ * The one-shot faults of a run, shared by every range attempt that
+ * can fire them: a fault fires at most once, so a retried range does
+ * not meet it again.
+ */
+struct FiredFaults
+{
+    const FaultPlan &plan;
+    std::vector<char> fired;
+    std::mutex mu;
+
+    /**
+     * Claim the unfired fault of @p device due at checkpoint @p seq,
+     * before (@p before) or after the store publishes it; -1 if none.
+     */
+    int
+    claim(int device, std::uint64_t seq, bool before)
+    {
+        const std::lock_guard<std::mutex> lock(mu);
+        for (std::size_t i = 0; i < plan.faults.size(); ++i) {
+            const FaultSpec &f = plan.faults[i];
+            const bool fires_before =
+                f.kind == FaultKind::CrashAtCheckpoint;
+            if (fired[i] || f.shard != device || f.at_seq != seq ||
+                fires_before != before)
+                continue;
+            fired[i] = 1;
+            return static_cast<int>(i);
+        }
+        return -1;
+    }
+};
+
+/** How a transport watches a range attempt and ends it on a fault. */
+struct RangeSink
+{
+    /** Heartbeat around every slice of @p device; may throw to cancel. */
+    std::function<void(int device)> beat;
+
+    /**
+     * End the attempt for injected fault @p fault of @p kind at
+     * checkpoint @p seq (file damage is already done). Never returns.
+     */
+    std::function<void(int fault, FaultKind kind, std::uint64_t seq)> die;
+
+    /** @p device finished with final checkpoint @p blob and @p result. */
+    std::function<void(int device, std::vector<std::uint8_t> &blob,
+                       std::uint64_t recoveries, ScenarioResult &result)>
+        device_done;
+};
+
+/**
+ * Run devices [begin, end) of @p spec to completion in device order,
+ * each resuming from @p store, and fold them into the range's
+ * aggregates. Faults of @p faults fire at their checkpoints.
+ */
+FleetAggregates
+runFleetRange(const FleetSpec &spec, int begin, int end,
+              FiredFaults &faults, CheckpointStore &store,
+              const FleetOptions &opts, const RangeSink &sink)
+{
+    FleetAggregates agg;
+    for (int device = begin; device < end; ++device) {
+        const ScenarioConfig cfg = fleetDeviceConfig(spec, device);
+        const auto fire = [&](std::uint64_t seq, bool before) {
+            const int i = faults.claim(device, seq, before);
+            if (i < 0)
+                return;
+            const FaultKind kind =
+                faults.plan.faults[static_cast<std::size_t>(i)].kind;
+            if (kind == FaultKind::BitFlip)
+                faultFlipBitInFile(store.checkpointPath(device, seq));
+            else if (kind == FaultKind::Truncate)
+                faultTruncateFile(store.checkpointPath(device, seq));
+            sink.die(i, kind, seq);
+        };
+
+        ShardProgress progress;
+        std::vector<std::uint8_t> blob;
+        ScenarioResult result = runShardToCompletion(
+            cfg, device, store, opts.checkpoint_every_tasks,
+            opts.paranoia, [&] { sink.beat(device); },
+            [&](std::uint64_t seq) { fire(seq, true); },
+            [&](std::uint64_t seq) { fire(seq, false); }, progress,
+            &blob);
+        agg.foldDevice(result, fleetDeviceThermalLimit(spec, cfg));
+        sink.device_done(device, blob, progress.recoveries, result);
+    }
+    return agg;
+}
+
+/** One range's supervision record, kept alike by both transports. */
+struct RangeState
+{
+    FleetWorkerStats stats;
+    bool active = false;   ///< an attempt is running
+    bool finished = false; ///< an attempt ran the whole range
+    FleetAggregates agg;   ///< the range's aggregates once finished
+};
+
+std::vector<RangeState>
+rangeStates(const FleetSpec &spec, const FleetOptions &opts)
+{
+    std::vector<RangeState> ranges;
+    for (const auto &r :
+         fleetShardRanges(spec.num_devices, opts.num_workers)) {
+        ranges.emplace_back();
+        ranges.back().stats.range_begin = r.first;
+        ranges.back().stats.range_end = r.second;
+    }
+    return ranges;
+}
+
+/**
+ * Record a failed attempt of @p r. A range whose retries are spent
+ * degrades; otherwise the retry is counted and its backoff slept, and
+ * true tells the caller to start the next attempt.
+ */
+bool
+retryRange(RangeState &r, const std::string &why, const FleetOptions &opts)
+{
+    r.stats.last_error = why;
+    if (r.stats.respawns >= opts.max_retries) {
+        r.stats.degraded = true;
+        r.active = false;
+        return false;
+    }
+    ++r.stats.respawns;
+    const double s =
+        retryBackoffSeconds(opts.backoff_initial, r.stats.respawns);
+    if (s > 0.0)
+        std::this_thread::sleep_for(std::chrono::duration<double>(s));
+    return true;
+}
+
+/**
+ * Merge range aggregates in range order. A degraded range folds the
+ * devices whose final checkpoints arrived (@p devices, in device
+ * order) and counts the rest degraded, not dropped.
+ */
+FleetResult
+assembleFleet(const FleetSpec &spec, const FleetOptions &opts,
+              std::vector<RangeState> &ranges,
+              std::vector<FleetDeviceOutcome> devices)
+{
+    FleetResult res;
+    for (RangeState &r : ranges) {
+        if (!r.finished) {
+            for (int d = r.stats.range_begin; d < r.stats.range_end; ++d) {
+                const FleetDeviceOutcome &out =
+                    devices[static_cast<std::size_t>(d)];
+                if (out.completed)
+                    r.agg.foldDevice(out.result,
+                                     fleetDeviceThermalLimit(
+                                         spec, fleetDeviceConfig(spec, d)));
+                else
+                    r.agg.foldDegradedDevice();
+            }
+        }
+        res.aggregates.merge(r.agg);
+        res.workers.push_back(std::move(r.stats));
+    }
+    if (!opts.keep_device_results)
+        for (FleetDeviceOutcome &out : devices)
+            out.result = ScenarioResult();
+    res.devices = std::move(devices);
+    return res;
+}
+
+// --- Thread transport -----------------------------------------------
+
+/** One attempt at a range on its own thread, watched by the parent. */
+struct RangeThread
+{
+    std::atomic<Clock::rep> heartbeat{
+        Clock::now().time_since_epoch().count()};
+    std::atomic<bool> cancel{false};
+    std::atomic<bool> done{false};
+
+    // Written by the range thread; read by the parent after join().
+    bool ok = false;
+    std::string error;
+    std::uint64_t recoveries = 0;
+    FleetAggregates agg;
+
+    std::thread thread; ///< declared last: it uses every member above
+
+    /** Cancel and join an attempt still running when the parent unwinds. */
+    ~RangeThread()
+    {
+        cancel.store(true, std::memory_order_relaxed);
+        if (thread.joinable())
+            thread.join();
+    }
+
+    void
+    beat()
+    {
+        heartbeat.store(Clock::now().time_since_epoch().count(),
+                        std::memory_order_relaxed);
+        if (cancel.load(std::memory_order_relaxed))
+            throw WatchdogTimeout("range cancelled by the watchdog");
+    }
+};
+
+/**
+ * End a range thread's attempt for an injected fault; a stall first
+ * stops beating and waits for the watchdog's cancel.
+ */
+[[noreturn]] void
+throwInjected(const RangeThread &t, FaultKind kind, std::uint64_t seq)
+{
+    while (kind == FaultKind::Stall &&
+           !t.cancel.load(std::memory_order_relaxed))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    throw SimulatedCrash(std::string("injected ") + faultKindName(kind) +
+                         " at checkpoint " + std::to_string(seq));
+}
+
+} // namespace
 
 FleetResult
 runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
@@ -686,70 +922,102 @@ runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
     validateFleetSpec(spec);
     if (opts.store_dir.empty())
         throw std::invalid_argument("FleetOptions::store_dir is required");
+    for (const FaultSpec &f : plan.faults)
+        if (faultKindIsProcessLevel(f.kind))
+            throw CheckpointError(
+                CheckpointError::Kind::Unsupported,
+                std::string("fault kind ") + faultKindName(f.kind) +
+                    " needs the process transport "
+                    "(runFleetMultiProcess)");
 
-    std::vector<ScenarioConfig> cfgs;
-    std::vector<Celsius> limits;
-    cfgs.reserve(static_cast<std::size_t>(spec.num_devices));
-    for (int d = 0; d < spec.num_devices; ++d) {
-        cfgs.push_back(fleetDeviceConfig(spec, d));
-        limits.push_back(fleetDeviceThermalLimit(spec, cfgs.back()));
-    }
+    FiredFaults faults{plan, std::vector<char>(plan.faults.size(), 0), {}};
+    std::vector<RangeState> ranges = rangeStates(spec, opts);
+    std::vector<FleetDeviceOutcome> devices(
+        static_cast<std::size_t>(spec.num_devices));
+    std::vector<std::unique_ptr<RangeThread>> threads(ranges.size());
 
-    SupervisorOptions sopts;
-    sopts.checkpoint_every_tasks = opts.checkpoint_every_tasks;
-    sopts.max_retries = opts.max_retries;
-    sopts.backoff_initial = opts.backoff_initial;
-    sopts.watchdog_deadline = opts.watchdog_deadline;
-    sopts.store_dir = opts.store_dir;
-    sopts.paranoia = opts.paranoia;
-    SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(cfgs, sopts, plan);
-
-    // The batch store is gone; this instance only reads (no locks).
-    CheckpointStore reader(opts.store_dir);
-
-    FleetResult res;
-    res.devices.resize(static_cast<std::size_t>(spec.num_devices));
-    const auto ranges =
-        fleetShardRanges(spec.num_devices, opts.num_workers);
-    for (const auto &range : ranges) {
-        FleetAggregates ra;
-        FleetWorkerStats ws;
-        ws.range_begin = range.first;
-        ws.range_end = range.second;
-        for (int d = range.first; d < range.second; ++d) {
-            ShardOutcome &o = batch.shards[static_cast<std::size_t>(d)];
-            ws.respawns += o.retries;
-            if (o.error && ws.last_error.empty()) {
-                try {
-                    std::rethrow_exception(o.error);
-                } catch (const std::exception &e) {
-                    ws.last_error = e.what();
-                } catch (...) {
-                    ws.last_error = "unknown error";
-                }
+    const auto start = [&](std::size_t i) {
+        threads[i] = std::make_unique<RangeThread>();
+        RangeThread *t = threads[i].get();
+        const int begin = ranges[i].stats.range_begin;
+        const int end = ranges[i].stats.range_end;
+        t->thread = std::thread([&spec, &opts, &faults, &devices, t,
+                                 begin, end] {
+            try {
+                // The attempt owns its store, so its shard locks drop
+                // when it ends, as they do when a worker process dies.
+                CheckpointStore store(opts.store_dir);
+                RangeSink sink;
+                sink.beat = [t](int) { t->beat(); };
+                sink.die = [t](int, FaultKind kind, std::uint64_t seq) {
+                    throwInjected(*t, kind, seq);
+                };
+                sink.device_done = [&devices, t](
+                                       int device,
+                                       std::vector<std::uint8_t> &blob,
+                                       std::uint64_t recoveries,
+                                       ScenarioResult &result) {
+                    FleetDeviceOutcome &out =
+                        devices[static_cast<std::size_t>(device)];
+                    out.completed = true;
+                    out.checkpoint_digest =
+                        crc32(blob.data(), blob.size());
+                    out.result = std::move(result);
+                    t->recoveries += recoveries;
+                };
+                t->agg = runFleetRange(spec, begin, end, faults, store,
+                                       opts, sink);
+                t->ok = true;
+            } catch (const std::exception &e) {
+                t->error = e.what();
+            } catch (...) {
+                t->error = "unknown error";
             }
-            if (o.degraded) {
-                ws.degraded = true;
-                ra.foldDegradedDevice();
+            t->done.store(true, std::memory_order_release);
+        });
+        ranges[i].active = true;
+    };
+
+    for (std::size_t i = 0; i < ranges.size(); ++i)
+        start(i);
+
+    // The watchdog: poll every range's heartbeat, cancel a stale
+    // attempt (it observes the flag at its next slice boundary or
+    // inside an injected stall, so join() always returns), and retry
+    // or degrade each failed attempt.
+    for (bool running = true; running;) {
+        running = false;
+        for (std::size_t i = 0; i < ranges.size(); ++i) {
+            RangeState &r = ranges[i];
+            if (!r.active)
+                continue;
+            RangeThread &t = *threads[i];
+            if (!t.done.load(std::memory_order_acquire)) {
+                running = true;
+                const Clock::duration idle =
+                    Clock::now().time_since_epoch() -
+                    Clock::duration(
+                        t.heartbeat.load(std::memory_order_relaxed));
+                if (std::chrono::duration<double>(idle).count() >
+                    opts.watchdog_deadline)
+                    t.cancel.store(true, std::memory_order_relaxed);
                 continue;
             }
-            ra.foldDevice(o.result, limits[static_cast<std::size_t>(d)]);
-            FleetDeviceOutcome &out =
-                res.devices[static_cast<std::size_t>(d)];
-            out.completed = true;
-            const auto cands = reader.loadCandidates(d);
-            if (!cands.empty())
-                out.checkpoint_digest =
-                    crc32(cands.front().blob.data(),
-                          cands.front().blob.size());
-            if (opts.keep_device_results)
-                out.result = std::move(o.result);
+            t.thread.join();
+            r.stats.recoveries += t.recoveries;
+            if (t.ok) {
+                r.active = false;
+                r.finished = true;
+                r.agg = std::move(t.agg);
+            } else if (retryRange(r, t.error, opts)) {
+                start(i);
+                running = true;
+            }
         }
-        res.aggregates.merge(ra);
-        res.workers.push_back(std::move(ws));
+        if (running)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return res;
+    return assembleFleet(spec, opts, ranges, std::move(devices));
 }
 
 // --- Worker process (csprint-fleet-worker) --------------------------
@@ -816,109 +1084,62 @@ fleetWorkerMain(int argc, char **argv)
         if (end > spec.num_devices)
             throw std::invalid_argument(
                 "fleet worker: range exceeds the device count");
-        std::vector<char> fired =
-            parseFiredList(args.get("fired", ""), plan.faults.size());
+        FiredFaults faults{
+            plan, parseFiredList(args.get("fired", ""), plan.faults.size()),
+            {}};
 
         sendFrameU64s(out_fd, kFrameHello,
                       {static_cast<std::uint64_t>(begin),
                        static_cast<std::uint64_t>(end), attempt});
 
         CheckpointStore store(store_dir);
-        FleetAggregates agg;
-        const std::uint32_t digest = fleetSpecDigest(spec);
-
-        for (int device = begin; device < end; ++device) {
-            const ScenarioConfig cfg = fleetDeviceConfig(spec, device);
-            const Celsius limit = fleetDeviceThermalLimit(spec, cfg);
-
-            const auto dueFault = [&](std::uint64_t seq,
-                                      bool before) -> int {
-                for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-                    const FaultSpec &f = plan.faults[i];
-                    if (fired[i] || f.shard != device ||
-                        f.at_seq != seq)
-                        continue;
-                    const bool fires_before =
-                        f.kind == FaultKind::CrashAtCheckpoint;
-                    if (fires_before != before)
-                        continue;
-                    return static_cast<int>(i);
-                }
-                return -1;
-            };
-
-            const ShardBeatFn beat = [&] {
-                sendFrameU64s(out_fd, kFrameBeat,
-                              {static_cast<std::uint64_t>(device)});
-            };
-            const ShardPersistHook beforePersist =
-                [&](std::uint64_t seq) {
-                    const int i = dueFault(seq, true);
-                    if (i < 0)
-                        return;
-                    sendFrameU64s(out_fd, kFrameFaultFired,
-                                  {static_cast<std::uint64_t>(i)});
-                    ::_exit(12); // died before the checkpoint landed
-                };
-            const ShardPersistHook afterPersist =
-                [&](std::uint64_t seq) {
-                    const int i = dueFault(seq, false);
-                    if (i < 0)
-                        return;
-                    sendFrameU64s(out_fd, kFrameFaultFired,
-                                  {static_cast<std::uint64_t>(i)});
-                    switch (plan.faults[static_cast<std::size_t>(i)]
-                                .kind) {
-                    case FaultKind::BitFlip:
-                        faultFlipBitInFile(
-                            store.checkpointPath(device, seq));
-                        ::_exit(13);
-                    case FaultKind::Truncate:
-                        faultTruncateFile(
-                            store.checkpointPath(device, seq));
-                        ::_exit(13);
-                    case FaultKind::WorkerException: {
-                        const std::string msg =
-                            "injected worker exception";
-                        sendFrame(out_fd, kFrameError,
-                                  {msg.begin(), msg.end()});
-                        ::_exit(14);
-                    }
-                    case FaultKind::Stall:
-                    case FaultKind::StallWorker:
-                        workerStallForever();
-                    case FaultKind::KillWorker:
-                        ::kill(::getpid(), SIGKILL);
-                        workerStallForever(); // unreachable
-                    case FaultKind::CorruptPipe: {
-                        const std::vector<std::uint8_t> junk(32, 0xa5);
-                        writeAll(out_fd, junk.data(), junk.size());
-                        ::_exit(15);
-                    }
-                    case FaultKind::CrashAtCheckpoint:
-                        break; // fires before the persist, not here
-                    }
-                };
-
-            ShardProgress progress;
-            std::vector<std::uint8_t> final_blob;
-            const ScenarioResult result = runShardToCompletion(
-                cfg, device, store, wopts.checkpoint_every_tasks,
-                wopts.paranoia, beat, beforePersist, afterPersist,
-                progress, &final_blob);
-
-            std::vector<std::uint8_t> payload(8 + final_blob.size());
-            writeLe64(payload.data(),
-                      static_cast<std::uint64_t>(device));
-            std::memcpy(payload.data() + 8, final_blob.data(),
-                        final_blob.size());
+        RangeSink sink;
+        sink.beat = [out_fd](int device) {
+            sendFrameU64s(out_fd, kFrameBeat,
+                          {static_cast<std::uint64_t>(device)});
+        };
+        sink.die = [out_fd](int fault, FaultKind kind, std::uint64_t) {
+            sendFrameU64s(out_fd, kFrameFaultFired,
+                          {static_cast<std::uint64_t>(fault)});
+            switch (kind) {
+            case FaultKind::CrashAtCheckpoint:
+                ::_exit(12); // died before the checkpoint landed
+            case FaultKind::BitFlip:
+            case FaultKind::Truncate:
+                ::_exit(13);
+            case FaultKind::WorkerException: {
+                const std::string msg = "injected worker exception";
+                sendFrame(out_fd, kFrameError, {msg.begin(), msg.end()});
+                ::_exit(14);
+            }
+            case FaultKind::Stall:
+                workerStallForever();
+            case FaultKind::KillWorker:
+                ::kill(::getpid(), SIGKILL);
+                workerStallForever(); // unreachable
+            case FaultKind::CorruptPipe: {
+                const std::vector<std::uint8_t> junk(32, 0xa5);
+                writeAll(out_fd, junk.data(), junk.size());
+                ::_exit(15);
+            }
+            }
+            ::_exit(16);
+        };
+        sink.device_done = [out_fd](int device,
+                                    std::vector<std::uint8_t> &blob,
+                                    std::uint64_t recoveries,
+                                    ScenarioResult &) {
+            std::vector<std::uint8_t> payload(16 + blob.size());
+            writeLe64(payload.data(), static_cast<std::uint64_t>(device));
+            writeLe64(payload.data() + 8, recoveries);
+            std::memcpy(payload.data() + 16, blob.data(), blob.size());
             sendFrame(out_fd, kFrameDeviceDone, payload);
-
-            agg.foldDevice(result, limit);
-        }
+        };
+        const FleetAggregates agg =
+            runFleetRange(spec, begin, end, faults, store, wopts, sink);
 
         sendFrame(out_fd, kFrameRangeDone,
-                  serializeFleetAggregates(agg, digest));
+                  serializeFleetAggregates(agg, fleetSpecDigest(spec)));
         return 0;
     } catch (const std::exception &e) {
         const std::string msg = e.what();
@@ -927,27 +1148,18 @@ fleetWorkerMain(int argc, char **argv)
     }
 }
 
-// --- Multi-process transport ----------------------------------------
+// --- Process transport ----------------------------------------------
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
+/** The process side of one range: its worker and its pipe. */
 struct WorkerProc
 {
-    int begin = 0;
-    int end = 0;
     pid_t pid = -1;
     int fd = -1;
     std::vector<std::uint8_t> buf;
     Clock::time_point last_frame;
-    int respawns = 0;
-    bool active = false;
-    bool finished = false;
-    bool degraded = false;
-    bool got_range_done = false;
-    std::vector<std::uint8_t> range_agg;
-    std::string last_error;
+    std::vector<std::uint8_t> range_agg; ///< RangeDone payload, once sent
 };
 
 } // namespace
@@ -979,18 +1191,12 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
     const std::string spec_path = opts.store_dir + "/fleet.spec";
     writeFileBytes(spec_path, serializeFleetSpec(spec, plan, opts));
 
-    const std::uint32_t digest = fleetSpecDigest(spec);
-    const auto ranges =
-        fleetShardRanges(spec.num_devices, opts.num_workers);
-
     std::vector<char> fired(plan.faults.size(), 0);
-    std::unordered_map<int, std::vector<std::uint8_t>> device_blobs;
+    std::vector<std::vector<std::uint8_t>> device_blobs(
+        static_cast<std::size_t>(spec.num_devices));
 
+    std::vector<RangeState> ranges = rangeStates(spec, opts);
     std::vector<WorkerProc> procs(ranges.size());
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-        procs[i].begin = ranges[i].first;
-        procs[i].end = ranges[i].second;
-    }
 
     const auto firedCsv = [&]() {
         std::string csv;
@@ -1004,15 +1210,17 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         return csv;
     };
 
-    const auto spawn = [&](WorkerProc &p) {
+    const auto spawn = [&](std::size_t i) {
+        const FleetWorkerStats &ws = ranges[i].stats;
+        WorkerProc &p = procs[i];
         std::vector<std::string> sargs = {
             worker_path,
             "--spec", spec_path,
             "--store", opts.store_dir,
-            "--begin", std::to_string(p.begin),
-            "--end", std::to_string(p.end),
+            "--begin", std::to_string(ws.range_begin),
+            "--end", std::to_string(ws.range_end),
             "--fd", "3",
-            "--attempt", std::to_string(p.respawns),
+            "--attempt", std::to_string(ws.respawns),
         };
         const std::string csv = firedCsv();
         if (!csv.empty()) {
@@ -1055,10 +1263,9 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         p.pid = pid;
         p.fd = fds[0];
         p.buf.clear();
-        p.got_range_done = false;
         p.range_agg.clear();
-        p.active = true;
         p.last_frame = Clock::now();
+        ranges[i].active = true;
     };
 
     const auto killAndReap = [](WorkerProc &p) {
@@ -1074,26 +1281,16 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         }
     };
 
-    // Declared before use in failProc via std::function (recursion-free).
-    const auto failProc = [&](WorkerProc &p, const std::string &why) {
-        p.last_error = why;
-        killAndReap(p);
-        if (p.respawns >= opts.max_retries) {
-            p.degraded = true;
-            p.active = false;
-            return;
-        }
-        ++p.respawns;
-        const double s =
-            retryBackoffSeconds(opts.backoff_initial, p.respawns);
-        if (s > 0.0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(s));
-        spawn(p);
+    const auto failProc = [&](std::size_t i, const std::string &why) {
+        killAndReap(procs[i]);
+        if (retryRange(ranges[i], why, opts))
+            spawn(i);
     };
 
     // Returns false when the frame stream is corrupt.
-    const auto processFrames = [&](WorkerProc &p) -> bool {
+    const auto processFrames = [&](std::size_t i) -> bool {
+        WorkerProc &p = procs[i];
+        FleetWorkerStats &ws = ranges[i].stats;
         ParsedFrame f;
         for (;;) {
             const int rc = tryParseFrame(p.buf, f);
@@ -1115,24 +1312,23 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                 break;
             }
             case kFrameDeviceDone: {
-                if (f.payload.size() < 8)
+                if (f.payload.size() < 16)
                     return false;
                 const std::uint64_t device =
                     readLe64(f.payload.data());
-                if (device < static_cast<std::uint64_t>(p.begin) ||
-                    device >= static_cast<std::uint64_t>(p.end))
+                if (device < static_cast<std::uint64_t>(ws.range_begin) ||
+                    device >= static_cast<std::uint64_t>(ws.range_end))
                     return false;
-                device_blobs[static_cast<int>(device)].assign(
-                    f.payload.begin() + 8, f.payload.end());
+                ws.recoveries += readLe64(f.payload.data() + 8);
+                device_blobs[static_cast<std::size_t>(device)].assign(
+                    f.payload.begin() + 16, f.payload.end());
                 break;
             }
             case kFrameRangeDone:
                 p.range_agg = f.payload;
-                p.got_range_done = true;
                 break;
             case kFrameError:
-                p.last_error.assign(f.payload.begin(),
-                                    f.payload.end());
+                ws.last_error.assign(f.payload.begin(), f.payload.end());
                 break;
             default:
                 return false;
@@ -1140,14 +1336,14 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         }
     };
 
-    for (WorkerProc &p : procs)
-        spawn(p);
+    for (std::size_t i = 0; i < procs.size(); ++i)
+        spawn(i);
 
     for (;;) {
         std::vector<pollfd> pfds;
         std::vector<std::size_t> owner;
         for (std::size_t i = 0; i < procs.size(); ++i) {
-            if (!procs[i].active)
+            if (!ranges[i].active)
                 continue;
             pfds.push_back({procs[i].fd, POLLIN, 0});
             owner.push_back(i);
@@ -1157,8 +1353,9 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 5);
 
         for (std::size_t k = 0; k < pfds.size(); ++k) {
-            WorkerProc &p = procs[owner[k]];
-            if (!p.active)
+            const std::size_t i = owner[k];
+            WorkerProc &p = procs[i];
+            if (!ranges[i].active)
                 continue;
             if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
@@ -1181,8 +1378,8 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                 eof = true;
                 break;
             }
-            if (!processFrames(p)) {
-                failProc(p, "corrupt frame on the result pipe");
+            if (!processFrames(i)) {
+                failProc(i, "corrupt frame on the result pipe");
                 continue;
             }
             if (!eof)
@@ -1192,112 +1389,66 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             p.pid = -1;
             ::close(p.fd);
             p.fd = -1;
-            if (p.got_range_done && WIFEXITED(st) &&
+            const std::string &reported = ranges[i].stats.last_error;
+            if (!p.range_agg.empty() && WIFEXITED(st) &&
                 WEXITSTATUS(st) == 0) {
-                p.finished = true;
-                p.active = false;
+                ranges[i].finished = true;
+                ranges[i].active = false;
             } else if (WIFSIGNALED(st)) {
-                failProc(p, std::string("worker killed by signal ") +
+                failProc(i, std::string("worker killed by signal ") +
                                 std::to_string(WTERMSIG(st)));
             } else {
-                failProc(p,
+                failProc(i,
                          std::string("worker exited with status ") +
                              std::to_string(WIFEXITED(st)
                                                 ? WEXITSTATUS(st)
                                                 : -1) +
-                             (p.last_error.empty()
-                                  ? std::string()
-                                  : ": " + p.last_error));
+                             (reported.empty() ? std::string()
+                                               : ": " + reported));
             }
         }
 
         const Clock::time_point now = Clock::now();
-        for (WorkerProc &p : procs) {
-            if (!p.active)
+        for (std::size_t i = 0; i < procs.size(); ++i) {
+            if (!ranges[i].active)
                 continue;
             const double idle =
-                std::chrono::duration<double>(now - p.last_frame)
+                std::chrono::duration<double>(now - procs[i].last_frame)
                     .count();
             if (idle > opts.watchdog_deadline)
-                failProc(p, "watchdog: worker sent no frames for " +
+                failProc(i, "watchdog: worker sent no frames for " +
                                 std::to_string(idle) + " s");
         }
     }
 
-    // --- Assemble the result ----------------------------------------
-
-    // Finish every received final checkpoint once; reused for both
-    // outcomes and degraded-range reconstruction.
-    std::unordered_map<int, ScenarioResult> finished;
-    std::vector<ScenarioConfig> cfgs(
+    // Finish every received final checkpoint: the device outcomes,
+    // and the devices a degraded range still folds.
+    std::vector<FleetDeviceOutcome> devices(
         static_cast<std::size_t>(spec.num_devices));
-    std::vector<char> have_cfg(
-        static_cast<std::size_t>(spec.num_devices), 0);
-    const auto configOf = [&](int d) -> const ScenarioConfig & {
-        if (!have_cfg[static_cast<std::size_t>(d)]) {
-            cfgs[static_cast<std::size_t>(d)] =
-                fleetDeviceConfig(spec, d);
-            have_cfg[static_cast<std::size_t>(d)] = 1;
-        }
-        return cfgs[static_cast<std::size_t>(d)];
-    };
-    for (auto &entry : device_blobs) {
+    for (int d = 0; d < spec.num_devices; ++d) {
+        const std::vector<std::uint8_t> &blob =
+            device_blobs[static_cast<std::size_t>(d)];
+        if (blob.empty())
+            continue;
+        const ScenarioConfig cfg = fleetDeviceConfig(spec, d);
         try {
-            ScenarioCheckpoint ck =
-                deserializeCheckpoint(configOf(entry.first),
-                                      entry.second);
+            ScenarioCheckpoint ck = deserializeCheckpoint(cfg, blob);
             if (!ck.done)
                 continue;
-            finished.emplace(entry.first,
-                             finishScenario(configOf(entry.first),
-                                            std::move(ck)));
+            FleetDeviceOutcome &out = devices[static_cast<std::size_t>(d)];
+            out.result = finishScenario(cfg, std::move(ck));
+            out.completed = true;
+            out.checkpoint_digest = crc32(blob.data(), blob.size());
         } catch (const CheckpointError &) {
             // An unreadable blob is treated as never received.
         }
     }
-
-    FleetResult res;
-    res.devices.resize(static_cast<std::size_t>(spec.num_devices));
-    for (WorkerProc &p : procs) {
-        FleetAggregates ra;
-        FleetWorkerStats ws;
-        ws.range_begin = p.begin;
-        ws.range_end = p.end;
-        ws.respawns = p.respawns;
-        ws.degraded = p.degraded;
-        ws.last_error = p.last_error;
-        if (p.finished) {
-            ra = deserializeFleetAggregates(p.range_agg, digest);
-        } else {
-            // Degraded range: devices whose final checkpoints were
-            // received still count; the rest degrade, not drop.
-            for (int d = p.begin; d < p.end; ++d) {
-                const auto it = finished.find(d);
-                if (it == finished.end()) {
-                    ra.foldDegradedDevice();
-                    continue;
-                }
-                ra.foldDevice(it->second,
-                              fleetDeviceThermalLimit(spec,
-                                                      configOf(d)));
-            }
-        }
-        res.aggregates.merge(ra);
-        res.workers.push_back(std::move(ws));
-    }
-    for (auto &entry : device_blobs) {
-        const auto it = finished.find(entry.first);
-        if (it == finished.end())
-            continue;
-        FleetDeviceOutcome &out =
-            res.devices[static_cast<std::size_t>(entry.first)];
-        out.completed = true;
-        out.checkpoint_digest =
-            crc32(entry.second.data(), entry.second.size());
-        if (opts.keep_device_results)
-            out.result = std::move(it->second);
-    }
-    return res;
+    const std::uint32_t digest = fleetSpecDigest(spec);
+    for (std::size_t i = 0; i < ranges.size(); ++i)
+        if (ranges[i].finished)
+            ranges[i].agg =
+                deserializeFleetAggregates(procs[i].range_agg, digest);
+    return assembleFleet(spec, opts, ranges, std::move(devices));
 }
 
 } // namespace csprint

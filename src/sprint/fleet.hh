@@ -2,40 +2,44 @@
  * @file
  * Fleet-scale serving driver: sample a device population from a
  * FleetSpec (PCM provisioning, ambient, core count, workload mix, and
- * sprint policy drawn from seeded distributions), shard the devices
- * across worker processes, and reap per-device results over a
- * length-prefixed pipe protocol that reuses the portable checkpoint
- * byte format (sprint/checkpoint.hh) for all state in flight.
+ * sprint policy drawn from seeded distributions), split the devices
+ * into contiguous ranges (fleetShardRanges), and run every range at
+ * once under supervision, with the portable checkpoint byte format
+ * (sprint/checkpoint.hh) for all persisted and in-flight state.
  *
- * Two transports run the same fleet:
+ * One driver, two transports. Both run each range through the same
+ * device loop (runShardToCompletion per device, folded in device
+ * order), persist crash-safe checkpoints into one CheckpointStore
+ * directory, and supervise alike: a parent-side watchdog cancels a
+ * range whose heartbeat goes stale, a failed range attempt is retried
+ * up to max_retries times with exponential backoff, resuming every
+ * device from its newest valid persisted checkpoint, and a range that
+ * exhausts its retries is degraded, not dropped: devices whose final
+ * checkpoints already arrived still count, the rest are tallied as
+ * degraded devices. The transports differ only in how an attempt is
+ * started and stopped, and in how an injected fault ends it:
  *
- *  - runFleetInProcess() drives every device through the thread
- *    supervisor (runSupervisedScenarioBatch) — no processes, same
- *    shard ranges, same aggregate fold/merge order.
+ *  - runFleetInProcess() runs one std::thread per range; the watchdog
+ *    sets a cancel flag the range observes at its next heartbeat, and
+ *    an injected fault throws.
  *
  *  - runFleetMultiProcess() fork/execs one csprint-fleet-worker
- *    binary per shard range. Each worker persists crash-safe
- *    checkpoints into a shared CheckpointStore directory, streams
- *    heartbeat/result frames to the parent over a pipe, and is
- *    supervised by a parent-side watchdog: a worker that dies (or is
- *    SIGKILLed, stalls, or corrupts its pipe) is reaped and respawned
- *    with bounded exponential backoff, resuming every device in its
- *    range from the newest valid persisted checkpoint. A range that
- *    exhausts its retries is degraded, not dropped: devices whose
- *    final checkpoints were already received still count, the rest
- *    are tallied as degraded devices.
+ *    binary per range, which streams heartbeat/result frames over a
+ *    length-prefixed CRC-checked pipe protocol; the watchdog
+ *    SIGKILLs a silent worker, and an injected fault _exits, SIGKILLs
+ *    itself, stalls, or corrupts its pipe.
  *
  * Determinism gates (tests/fleet_fault_test.cc, bench/fleet_report.cc):
  * the multi-process run equals the in-process run bit-for-bit on
  * every shared aggregate field and per-device checkpoint digest, and
- * a run SIGKILLed at a random checkpoint equals the uninterrupted run
+ * a run faulted at a random checkpoint equals the uninterrupted run
  * bit-for-bit after recovery — both under a rotating seed.
  *
- * Aggregates are mergeable: each worker folds its range into a
- * FleetAggregates (counters, maxima, and streaming P² response
- * quantiles with a deterministic merge — common/stats.hh), the parent
- * merges ranges in range order, so both transports reduce in the
- * exact same order and the bit-parity gate is meaningful.
+ * Aggregates are mergeable: each range folds into a FleetAggregates
+ * (counters, maxima, and streaming P² response quantiles with a
+ * deterministic merge — common/stats.hh), and the parent merges
+ * ranges in range order, so both transports reduce in the exact same
+ * order and the bit-parity gate is meaningful.
  */
 
 #ifndef CSPRINT_SPRINT_FLEET_HH
@@ -208,13 +212,13 @@ struct FleetOptions
     /** Persist a checkpoint after every this many completed tasks. */
     std::uint64_t checkpoint_every_tasks = 4;
 
-    /** Respawns allowed per worker before its range degrades. */
+    /** Retries allowed per range before it degrades. */
     int max_retries = 3;
 
     /** Respawn r sleeps backoff_initial * 2^(r-1) seconds (0 = none). */
     double backoff_initial = 0.0;
 
-    /** Seconds without a frame before the parent SIGKILLs a worker. */
+    /** Seconds without a heartbeat before the parent cancels a range. */
     double watchdog_deadline = 30.0;
 
     /** CheckpointStore directory (required; shared by all workers). */
@@ -237,7 +241,7 @@ struct FleetOptions
 /** What became of one device of a fleet run. */
 struct FleetDeviceOutcome
 {
-    /** Final checkpoint received (directly or via the store). */
+    /** Final checkpoint received. */
     bool completed = false;
 
     /** CRC32 of the final persisted checkpoint blob; 0 when absent. */
@@ -252,7 +256,9 @@ struct FleetWorkerStats
 {
     int range_begin = 0;
     int range_end = 0;
-    int respawns = 0;    ///< process respawns (mp) / shard retries (ip)
+    int respawns = 0;    ///< retried range attempts
+    /** Device attempts that resumed from a stored checkpoint and finished. */
+    std::uint64_t recoveries = 0;
     bool degraded = false;
     std::string last_error; ///< last failure reason, for diagnosis
 };
@@ -268,11 +274,11 @@ struct FleetResult
 };
 
 /**
- * Run @p spec's fleet inside this process through the thread
- * supervisor: identical shard ranges, fold order, and merge order as
- * the multi-process transport, with per-device checkpoint digests
- * read back from the store. @p plan may only contain thread-transport
- * fault kinds (process kinds are rejected with Kind::Unsupported).
+ * Run @p spec's fleet inside this process, one thread per shard
+ * range, all ranges at once (see the file comment for the supervision
+ * semantics). @p plan's faults fire one-shot at their named
+ * checkpoints; it may only contain thread-transport fault kinds
+ * (process kinds are rejected with Kind::Unsupported).
  */
 FleetResult runFleetInProcess(const FleetSpec &spec,
                               const FleetOptions &opts,

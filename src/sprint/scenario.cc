@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "sprint/checkpoint.hh"
@@ -38,22 +39,37 @@ allArrivalPatterns()
 
 namespace {
 
-/** The timeline preconditions shared by every scenario entry point. */
+/**
+ * The timeline preconditions shared by every scenario entry point;
+ * throws std::invalid_argument before any work starts.
+ */
 void
 validateScenarioConfig(const ScenarioConfig &cfg)
 {
-    SPRINT_ASSERT(cfg.num_tasks >= 1, "scenario needs at least one task");
-    SPRINT_ASSERT(cfg.pattern == ArrivalPattern::BackToBack ||
-                      cfg.period > 0.0,
-                  "arrival pattern needs a positive period");
-    SPRINT_ASSERT(cfg.burst_size >= 1, "bursts need at least one task");
+    if (cfg.num_tasks < 1)
+        throw std::invalid_argument("scenario needs at least one task");
+    if (cfg.pattern != ArrivalPattern::BackToBack && !(cfg.period > 0.0))
+        throw std::invalid_argument(
+            "arrival pattern needs a positive period");
+    if (cfg.burst_size < 1)
+        throw std::invalid_argument("bursts need at least one task");
     validateSurrogateParams(cfg.surrogate);
+    if (cfg.surrogate.tier == FidelityTier::CycleAccurate)
+        return;
     // Admissibility contract (PERF.md, "Surrogate fidelity tier"):
     // warm caches couple a task's service time to its predecessor's
     // cache contents, which a bypassed pump cannot reproduce.
-    SPRINT_ASSERT(cfg.surrogate.tier == FidelityTier::CycleAccurate ||
-                      !cfg.warm_caches,
-                  "surrogate tiers require cold caches");
+    if (cfg.warm_caches)
+        throw std::invalid_argument("surrogate tiers require cold caches");
+    // Preemption cuts tasks at sample boundaries a bypassed pump does
+    // not have, and a suspended task's remaining work is not a class
+    // property.
+    const std::unique_ptr<SprintPolicy> policy =
+        cfg.policy_factory ? cfg.policy_factory()
+                           : makeSprintPolicy(cfg.policy);
+    if (policy->preemptive())
+        throw std::invalid_argument(
+            "surrogate tiers require a non-preemptive policy");
 }
 
 } // namespace
@@ -700,16 +716,12 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
     // million-task timelines never build a queue (see
     // SprintPolicy::preemptive).
     const bool preemptive = policy->preemptive();
-    // Admissibility contract (PERF.md, "Surrogate fidelity tier"):
-    // preemption cuts tasks at sample boundaries a bypassed pump does
-    // not have, and a suspended task's remaining work is not a class
-    // property. This also guarantees every dispatched task completes
+    // validateScenarioConfig admits surrogate tiers only under
+    // non-preemptive policies, so every dispatched task completes
     // inside this advance call — no checkpoint boundary can cut an
     // audit in half.
     const bool surrogate_on =
         cfg.surrogate.tier != FidelityTier::CycleAccurate;
-    SPRINT_ASSERT(!surrogate_on || !preemptive,
-                  "surrogate tiers require a non-preemptive policy");
 
     // The shard's package is rebuilt from the snapshot; step() output
     // depends only on the restored state and the (deterministically

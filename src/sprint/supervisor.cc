@@ -1,10 +1,7 @@
 #include "sprint/supervisor.hh"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <fstream>
-#include <thread>
 
 #include "common/rng.hh"
 #include "sprint/checkpoint.hh"
@@ -27,8 +24,6 @@ faultKindName(FaultKind kind)
         return "stall";
     case FaultKind::KillWorker:
         return "kill-worker";
-    case FaultKind::StallWorker:
-        return "stall-worker";
     case FaultKind::CorruptPipe:
         return "corrupt-pipe";
     }
@@ -39,7 +34,6 @@ bool
 faultKindIsProcessLevel(FaultKind kind)
 {
     return kind == FaultKind::KillWorker ||
-           kind == FaultKind::StallWorker ||
            kind == FaultKind::CorruptPipe;
 }
 
@@ -65,12 +59,12 @@ FaultPlan
 FaultPlan::randomizedProcess(std::uint64_t seed, int num_shards,
                              std::uint64_t max_seq)
 {
-    // Every kind the process transport recovers from, Stall excluded
-    // (StallWorker covers it without the per-shard watchdog wait).
+    // Every kind the process transport recovers from. The table order
+    // is part of the plan: equal seeds draw equal plans.
     static const FaultKind kinds[] = {
         FaultKind::CrashAtCheckpoint, FaultKind::BitFlip,
         FaultKind::Truncate,          FaultKind::WorkerException,
-        FaultKind::KillWorker,        FaultKind::StallWorker,
+        FaultKind::KillWorker,        FaultKind::Stall,
         FaultKind::CorruptPipe};
     FaultPlan plan;
     Rng rng(seed ^ 0xf1ee7ull);
@@ -92,16 +86,6 @@ retryBackoffSeconds(double backoff_initial, int attempt)
     if (backoff_initial <= 0.0 || attempt < 1)
         return 0.0;
     return backoff_initial * std::ldexp(1.0, attempt - 1);
-}
-
-bool
-SupervisedBatchResult::allOk() const
-{
-    for (const ShardOutcome &s : shards) {
-        if (s.degraded)
-            return false;
-    }
-    return true;
 }
 
 void
@@ -210,7 +194,6 @@ runShardToCompletion(const ScenarioConfig &cfg, int shard,
         if (beforePersist)
             beforePersist(seq);
         store.save(shard, seq, blob);
-        ++progress.checkpoints_persisted;
         if (final_blob)
             last_blob = std::move(blob);
         if (afterPersist)
@@ -219,208 +202,6 @@ runShardToCompletion(const ScenarioConfig &cfg, int shard,
     if (final_blob)
         *final_blob = std::move(last_blob);
     return finishScenario(cfg, std::move(ck));
-}
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/** Shared between one shard's worker thread and the watchdog. */
-struct WorkerControl
-{
-    std::atomic<Clock::rep> heartbeat{Clock::now().time_since_epoch().count()};
-    std::atomic<bool> cancel{false};
-
-    void
-    beat()
-    {
-        heartbeat.store(Clock::now().time_since_epoch().count(),
-                        std::memory_order_relaxed);
-        if (cancel.load(std::memory_order_relaxed))
-            throw WatchdogTimeout("worker cancelled by the watchdog");
-    }
-
-    double
-    secondsSinceBeat() const
-    {
-        const Clock::duration d =
-            Clock::now().time_since_epoch() -
-            Clock::duration(heartbeat.load(std::memory_order_relaxed));
-        return std::chrono::duration<double>(d).count();
-    }
-};
-
-/**
- * One worker attempt: the shared shard core with this transport's
- * heartbeat and thread-level fault injection wired into the hooks.
- * Returns the finished result. Throws on injected faults, watchdog
- * cancellation, or genuine engine errors.
- */
-ScenarioResult
-workerAttempt(const ScenarioConfig &cfg, int shard,
-              const SupervisorOptions &opts, const FaultPlan &plan,
-              std::vector<bool> &fired, CheckpointStore &store,
-              WorkerControl &control, ShardOutcome &outcome)
-{
-    // An injected fault due at this checkpoint fires exactly once
-    // across all attempts of the batch.
-    auto dueFault = [&](std::uint64_t seq) -> std::size_t {
-        for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-            const FaultSpec &f = plan.faults[i];
-            if (!fired[i] && f.shard == shard && f.at_seq == seq)
-                return i;
-        }
-        return plan.faults.size();
-    };
-
-    auto beforePersist = [&](std::uint64_t seq) {
-        const std::size_t i = dueFault(seq);
-        if (i == plan.faults.size() ||
-            plan.faults[i].kind != FaultKind::CrashAtCheckpoint)
-            return;
-        fired[i] = true;
-        throw SimulatedCrash("injected crash before persisting "
-                             "checkpoint " +
-                             std::to_string(seq));
-    };
-
-    auto afterPersist = [&](std::uint64_t seq) {
-        const std::size_t i = dueFault(seq);
-        if (i == plan.faults.size())
-            return;
-        const FaultKind kind = plan.faults[i].kind;
-        if (kind == FaultKind::CrashAtCheckpoint)
-            return; // handled before the persist
-        fired[i] = true;
-        switch (kind) {
-        case FaultKind::BitFlip:
-            faultFlipBitInFile(store.checkpointPath(shard, seq));
-            throw SimulatedCrash("injected crash after bit-flip "
-                                 "of checkpoint " +
-                                 std::to_string(seq));
-        case FaultKind::Truncate:
-            faultTruncateFile(store.checkpointPath(shard, seq));
-            throw SimulatedCrash("injected crash after "
-                                 "truncation of checkpoint " +
-                                 std::to_string(seq));
-        case FaultKind::WorkerException:
-            throw std::runtime_error("injected worker exception "
-                                     "at checkpoint " +
-                                     std::to_string(seq));
-        case FaultKind::Stall:
-            // Stop beating and wait for the watchdog; beat()
-            // turns the cancel flag into WatchdogTimeout.
-            for (;;) {
-                if (control.cancel.load(std::memory_order_relaxed))
-                    throw WatchdogTimeout(
-                        "worker cancelled by the watchdog "
-                        "during an injected stall");
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            }
-        default:
-            break; // process-level kinds rejected at batch entry
-        }
-    };
-
-    // Fold the attempt's tallies into the outcome whether it finishes
-    // or dies mid-run — a crashed attempt's persisted checkpoints and
-    // recovery still happened.
-    ShardProgress progress;
-    auto fold = [&]() {
-        outcome.checkpoints_persisted += progress.checkpoints_persisted;
-        outcome.recoveries += progress.recoveries;
-    };
-    try {
-        ScenarioResult result = runShardToCompletion(
-            cfg, shard, store, opts.checkpoint_every_tasks,
-            opts.paranoia, [&control]() { control.beat(); },
-            beforePersist, afterPersist, progress);
-        fold();
-        return result;
-    } catch (...) {
-        fold();
-        throw;
-    }
-}
-
-} // namespace
-
-SupervisedBatchResult
-runSupervisedScenarioBatch(const std::vector<ScenarioConfig> &shards,
-                           const SupervisorOptions &opts,
-                           const FaultPlan &plan)
-{
-    if (opts.store_dir.empty())
-        throw CheckpointError(CheckpointError::Kind::Io,
-                              "supervisor requires a checkpoint "
-                              "store directory");
-    for (const FaultSpec &f : plan.faults) {
-        if (faultKindIsProcessLevel(f.kind))
-            throw CheckpointError(
-                CheckpointError::Kind::Unsupported,
-                std::string("fault kind ") + faultKindName(f.kind) +
-                    " needs the process transport "
-                    "(runFleetMultiProcess), not the thread "
-                    "supervisor");
-    }
-    CheckpointStore store(opts.store_dir);
-    std::vector<bool> fired(plan.faults.size(), false);
-
-    SupervisedBatchResult batch;
-    batch.shards.resize(shards.size());
-    for (std::size_t shard = 0; shard < shards.size(); ++shard) {
-        const ScenarioConfig &cfg = shards[shard];
-        ShardOutcome &outcome = batch.shards[shard];
-
-        for (int attempt = 0; attempt <= opts.max_retries; ++attempt) {
-            if (attempt > 0) {
-                ++outcome.retries;
-                const double s =
-                    retryBackoffSeconds(opts.backoff_initial, attempt);
-                if (s > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(s));
-            }
-
-            WorkerControl control;
-            std::exception_ptr failure;
-            std::atomic<bool> finished{false};
-            bool ok = false;
-            std::thread worker([&]() {
-                try {
-                    outcome.result = workerAttempt(
-                        cfg, static_cast<int>(shard), opts, plan,
-                        fired, store, control, outcome);
-                    ok = true;
-                } catch (...) {
-                    failure = std::current_exception();
-                }
-                finished.store(true, std::memory_order_release);
-            });
-
-            // The watchdog: poll the heartbeat until the worker
-            // finishes; cancel it once the beat goes stale.
-            // Cancellation is cooperative — the worker observes the
-            // flag at slice boundaries and inside injected stalls —
-            // so join() always returns.
-            while (!finished.load(std::memory_order_acquire)) {
-                if (control.secondsSinceBeat() > opts.watchdog_deadline)
-                    control.cancel.store(true,
-                                         std::memory_order_relaxed);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            }
-            worker.join();
-
-            if (ok)
-                break;
-            outcome.error = failure;
-            if (attempt == opts.max_retries)
-                outcome.degraded = true;
-        }
-    }
-    return batch;
 }
 
 } // namespace csprint

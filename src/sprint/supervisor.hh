@@ -1,21 +1,22 @@
 /**
  * @file
- * Supervised execution of scenario shard batches on top of the
- * portable checkpoint layer (sprint/checkpoint.hh): each shard runs
- * under a worker that persists a crash-safe checkpoint every few
- * tasks, a watchdog that cancels workers whose heartbeat goes stale,
- * and a bounded-retry loop that restarts a failed worker from its
- * last valid persisted checkpoint with exponential backoff. A shard
- * that exhausts its retries is reported as degraded — carrying the
- * exception that killed it — instead of being silently dropped.
+ * The per-shard core of crash-safe serving, on top of the portable
+ * checkpoint layer (sprint/checkpoint.hh): runShardToCompletion()
+ * recovers a shard from the newest valid persisted checkpoint,
+ * advances it in checkpoint-sized slices and persists every
+ * boundary; the fault vocabulary (FaultKind, FaultPlan) names which
+ * checkpoint of which shard fails and how. Supervision itself — the
+ * watchdog, bounded retries with backoff, degrade-not-drop — is the
+ * fleet driver's (sprint/fleet.hh), whose two transports run this
+ * core on threads or in worker processes.
  *
  * Determinism gate: because checkpoints capture the full trajectory
  * (thermal state, arrival RNG cursor, suspended machines, streaming
- * aggregates), a supervised run that crashes and recovers any number
- * of times produces final aggregates and traces bit-identical to an
- * uninterrupted run. tests/faultinject_test.cc holds that gate per
- * fault kind; bench/faultinject_report.cc re-checks it in CI under a
- * rotating seed.
+ * aggregates), a shard that crashes and recovers any number of times
+ * finishes bit-identical to an uninterrupted run.
+ * tests/faultinject_test.cc holds that gate per fault kind;
+ * bench/faultinject_report.cc re-checks it in CI under a rotating
+ * seed.
  *
  * Fault injection is first-class and seed-deterministic: a FaultPlan
  * names, per shard, which checkpoint sequence number triggers which
@@ -28,7 +29,6 @@
 #define CSPRINT_SPRINT_SUPERVISOR_HH
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -40,7 +40,7 @@ namespace csprint {
 
 class CheckpointStore;
 
-/** The failure modes the supervisor can inject and recover from. */
+/** The failure modes the fleet driver can inject and recover from. */
 enum class FaultKind
 {
     /**
@@ -66,19 +66,20 @@ enum class FaultKind
     Truncate,
 
     /**
-     * The worker throws a plain exception mid-run (a bug, a resource
-     * failure): the supervisor retries from the last checkpoint.
+     * The worker fails mid-run (a bug, a resource failure): a range
+     * thread throws, a worker process reports the error and exits.
+     * The range is retried from the last checkpoint.
      */
     WorkerException,
 
     /**
      * The worker stops making progress without dying: the watchdog
-     * must notice the stale heartbeat, cancel the worker, and retry.
+     * must notice the stale heartbeat, cancel the range thread or
+     * SIGKILL the worker process, and retry.
      */
     Stall,
 
-    // --- Process-level kinds (the fleet driver's transport, ---------
-    // --- sprint/fleet.hh; Unsupported on the thread transport) ------
+    // --- Process-level kinds (Unsupported on the thread transport) ---
 
     /**
      * The worker process SIGKILLs itself right after persisting the
@@ -87,13 +88,6 @@ enum class FaultKind
      * resuming from the newest valid persisted checkpoint.
      */
     KillWorker,
-
-    /**
-     * The worker process stops sending frames without dying: the
-     * parent's watchdog must notice the silent pipe, SIGKILL the
-     * process, and respawn it.
-     */
-    StallWorker,
 
     /**
      * The worker writes a garbage frame onto the result pipe (torn
@@ -114,7 +108,7 @@ struct FaultSpec
     std::uint64_t at_seq = 1;
 };
 
-/** A deterministic set of one-shot faults for a supervised batch. */
+/** A deterministic set of one-shot faults for a fleet run. */
 struct FaultPlan
 {
     std::vector<FaultSpec> faults;
@@ -130,119 +124,45 @@ struct FaultPlan
 
     /**
      * Like randomized(), but drawing from the full kind set including
-     * the process-level faults (KillWorker / StallWorker /
-     * CorruptPipe) — for the fleet driver's process transport, which
-     * recovers from all of them. Stall is excluded: each stall costs
-     * a full watchdog deadline of wall time, and StallWorker already
-     * covers the silent-worker case.
+     * the process-level faults (KillWorker / CorruptPipe) — for the
+     * fleet driver's process transport, which recovers from all of
+     * them.
      */
     static FaultPlan randomizedProcess(std::uint64_t seed,
                                        int num_shards,
                                        std::uint64_t max_seq);
 };
 
-/** True for the process-transport-only kinds (fleet driver faults). */
+/** True for the kinds only the process transport can inject. */
 bool faultKindIsProcessLevel(FaultKind kind);
 
-/** Thrown by an injected CrashAtCheckpoint/BitFlip/Truncate fault. */
+/** Thrown in a range thread by an injected fault. */
 struct SimulatedCrash : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
 
-/** Thrown inside a worker the watchdog cancelled for a stale heartbeat. */
+/** Thrown in a range thread the watchdog cancelled (stale heartbeat). */
 struct WatchdogTimeout : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
 
-struct SupervisorOptions
-{
-    /**
-     * Persist a checkpoint after every this many completed tasks.
-     * Also the slice length handed to advanceScenario, so it bounds
-     * both the work lost to a crash and the heartbeat period.
-     */
-    std::uint64_t checkpoint_every_tasks = 4;
-
-    /** Restarts allowed per shard before it is reported degraded. */
-    int max_retries = 3;
-
-    /**
-     * Sleep before retry r is backoff_initial * 2^r seconds. Zero
-     * (the default) retries immediately — tests want no wall-clock
-     * padding; production batches want a real value.
-     */
-    double backoff_initial = 0.0;
-
-    /**
-     * Seconds without a worker heartbeat before the watchdog cancels
-     * it. Must comfortably exceed the wall time of one checkpoint
-     * slice, since workers only beat between slices.
-     */
-    double watchdog_deadline = 30.0;
-
-    /** Directory the CheckpointStore persists under. Required. */
-    std::string store_dir;
-
-    /**
-     * Run validateCheckpoint() on every checkpoint before persisting
-     * it (in addition to whatever ScenarioConfig::validate_checkpoints
-     * already does inside the engine).
-     */
-    bool paranoia = false;
-};
-
-/** What became of one shard of a supervised batch. */
-struct ShardOutcome
-{
-    /** The shard's final result; meaningful only when !degraded. */
-    ScenarioResult result;
-
-    /** True when the shard exhausted its retries without finishing. */
-    bool degraded = false;
-
-    /** Worker restarts this shard consumed. */
-    int retries = 0;
-
-    /** Checkpoints persisted across all attempts. */
-    std::uint64_t checkpoints_persisted = 0;
-
-    /** Attempts that resumed from a stored checkpoint (vs. fresh). */
-    std::uint64_t recoveries = 0;
-
-    /**
-     * The exception that ended the last attempt; set when degraded,
-     * and also kept (for diagnosis) when a retry eventually
-     * succeeded after failures.
-     */
-    std::exception_ptr error;
-};
-
-struct SupervisedBatchResult
-{
-    std::vector<ShardOutcome> shards;
-
-    /** True when no shard is degraded. */
-    bool allOk() const;
-};
-
 // --- Shared shard-attempt core ------------------------------------------
 //
-// Both supervision transports — the in-process thread supervisor
-// below and the multi-process fleet driver (sprint/fleet.hh) — run
-// the same loop per shard: recover from the newest valid persisted
-// checkpoint (corrupt candidates rejected by CRC, falling back to the
-// retained predecessor), advance in checkpoint-sized slices, enforce
-// the forward-motion invariants, and persist every boundary. Only the
-// transport differs (heartbeat atomics + cooperative cancel vs. pipe
-// frames + SIGKILL), so the core is shared and the transports inject
-// their behaviour through the hooks.
+// Both fleet transports (sprint/fleet.hh), range threads and worker
+// processes, run the same loop per shard: recover from the newest
+// valid persisted checkpoint (corrupt candidates rejected by CRC,
+// falling back to the retained predecessor), advance in
+// checkpoint-sized slices, enforce the forward-motion invariants, and
+// persist every boundary. Only the transport differs (a heartbeat
+// atomic + cooperative cancel vs. pipe frames + SIGKILL), and it
+// injects its behaviour through the hooks.
 
 /** Progress tallies one shard accumulates across attempts. */
 struct ShardProgress
 {
-    std::uint64_t checkpoints_persisted = 0;
+    /** Attempts that resumed from a stored checkpoint (vs. fresh). */
     std::uint64_t recoveries = 0;
 };
 
@@ -284,23 +204,6 @@ void faultFlipBitInFile(const std::string &path);
 
 /** Cut @p path down to half its length (injected torn write). */
 void faultTruncateFile(const std::string &path);
-
-/**
- * Run every ScenarioConfig in @p shards to completion under
- * supervision: periodic crash-safe checkpoint persistence into
- * @p opts.store_dir, watchdog cancellation of stalled workers, and up
- * to @p opts.max_retries restarts per shard from the last valid
- * checkpoint. @p plan's faults fire deterministically (one-shot) at
- * their named checkpoints. Shards run in order; each worker runs on
- * its own thread so the watchdog can observe it.
- *
- * Pre-existing checkpoints in the store are honoured: a batch that
- * was killed externally resumes where its shards left off.
- */
-SupervisedBatchResult
-runSupervisedScenarioBatch(const std::vector<ScenarioConfig> &shards,
-                           const SupervisorOptions &opts,
-                           const FaultPlan &plan = {});
 
 } // namespace csprint
 

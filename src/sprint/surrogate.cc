@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -26,14 +27,17 @@ validateSurrogateParams(const SurrogateParams &p)
 {
     if (p.tier == FidelityTier::CycleAccurate)
         return;
-    SPRINT_ASSERT(p.min_calibration >= 1,
-                  "surrogate tier needs at least one calibration task");
-    SPRINT_ASSERT(p.audit_period >= 1.0,
-                  "audit period must be at least one dispatch");
-    SPRINT_ASSERT(p.tolerance > 0.0,
-                  "audit tolerance must be positive");
-    SPRINT_ASSERT(p.profile_samples >= 1,
-                  "heat profile needs at least one chunk");
+    if (p.min_calibration < 1)
+        throw std::invalid_argument(
+            "surrogate tier needs at least one calibration task");
+    if (!(p.audit_period >= 1.0))
+        throw std::invalid_argument(
+            "audit period must be at least one dispatch");
+    if (!(p.tolerance > 0.0))
+        throw std::invalid_argument("audit tolerance must be positive");
+    if (p.profile_samples < 1)
+        throw std::invalid_argument(
+            "heat profile needs at least one chunk");
 }
 
 void

@@ -83,7 +83,10 @@ struct SurrogateParams
     int profile_samples = 4;
 };
 
-/** Abort unless @p p is a valid surrogate configuration. */
+/**
+ * Throw std::invalid_argument unless @p p is a valid surrogate
+ * configuration.
+ */
 void validateSurrogateParams(const SurrogateParams &p);
 
 /** Ground truth extracted from one cycle-accurate task pump. */

@@ -1,13 +1,13 @@
 /**
- * @file
- * Fault-injection tests for the supervised scenario batch runner
- * (sprint/supervisor.hh). The headline gate: for every FaultKind, a
- * run that crashes, corrupts its newest checkpoint, throws, or stalls
- * — and is then recovered by the supervisor from persisted state —
+ * Fault-injection tests for the fleet driver's thread transport
+ * (runFleetInProcess, sprint/fleet.hh) over the shared shard core
+ * (sprint/supervisor.hh). The headline gate: for every thread-level
+ * FaultKind, a device that crashes, corrupts its newest checkpoint,
+ * throws, or stalls — and is then recovered from persisted state —
  * finishes with aggregates and traces bit-identical to an
- * uninterrupted run of the same configuration. Also covers retry
- * exhaustion (degraded shards keep their exception and do not sink
- * the rest of the batch).
+ * uninterrupted runScenario of the same configuration. Also covers
+ * retry exhaustion (a degraded range keeps its error and does not
+ * sink its neighbours).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
+#include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
 #include "sprint/supervisor.hh"
 #include "workloads/workload.hh"
@@ -26,21 +27,48 @@
 namespace csprint {
 namespace {
 
-ScenarioConfig
-shardScenario(std::uint64_t seed)
+/**
+ * A one-class fleet of @p devices identical 16-core greedy devices
+ * (small PCM, 25 C, six periodic warm-cache sobel-A tasks): each
+ * device's own seed is drawn from @p seed.
+ */
+FleetSpec
+shardFleet(std::uint64_t seed, int devices)
 {
-    ScenarioConfig cfg;
-    cfg.platform = SprintConfig::parallelSprint(16, kSmallPcm);
-    cfg.policy.kind = SprintPolicyKind::GreedyActivity;
-    cfg.policy.pacing_period = 2.5e-3;
-    cfg.pattern = ArrivalPattern::Periodic;
-    cfg.num_tasks = 6;
-    cfg.period = 2.5e-3;
-    cfg.kernel = KernelId::Sobel;
-    cfg.size = InputSize::A;
-    cfg.seed = seed;
-    cfg.warm_caches = true;
-    return cfg;
+    FleetSpec spec;
+    spec.seed = seed;
+    spec.num_devices = devices;
+    FleetDeviceClass c;
+    c.cores = 16;
+    c.pcm_mass_lo = c.pcm_mass_hi = kSmallPcm;
+    c.ambient_lo = c.ambient_hi = 25.0;
+    c.policy = SprintPolicyKind::GreedyActivity;
+    c.pacing_period = c.period = 2.5e-3;
+    c.pattern = ArrivalPattern::Periodic;
+    c.num_tasks = 6;
+    c.kernel = KernelId::Sobel;
+    c.size = InputSize::A;
+    c.warm_caches = true;
+    spec.classes.push_back(c);
+    return spec;
+}
+
+/** One range per device, so every device is retried on its own. */
+FleetOptions
+shardOptions(const std::string &store_dir, int devices)
+{
+    FleetOptions opts;
+    opts.num_workers = devices;
+    opts.checkpoint_every_tasks = 2;
+    opts.store_dir = store_dir;
+    return opts;
+}
+
+/** Device @p d's uninterrupted run. */
+ScenarioResult
+directRun(const FleetSpec &spec, int d)
+{
+    return runScenario(fleetDeviceConfig(spec, d));
 }
 
 void
@@ -93,12 +121,9 @@ freshDir(const char *tag)
 void
 recoveryParity(FaultKind kind)
 {
-    const ScenarioConfig cfg = shardScenario(11);
-    const ScenarioResult direct = runScenario(cfg);
+    const FleetSpec spec = shardFleet(11, 1);
 
-    SupervisorOptions opts;
-    opts.store_dir = freshDir(faultKindName(kind));
-    opts.checkpoint_every_tasks = 2;
+    FleetOptions opts = shardOptions(freshDir(faultKindName(kind)), 1);
     opts.max_retries = 2;
     opts.paranoia = true;
     if (kind == FaultKind::Stall)
@@ -107,16 +132,16 @@ recoveryParity(FaultKind kind)
     FaultPlan plan;
     plan.faults.push_back({0, kind, 2});
 
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch({cfg}, opts, plan);
-    ASSERT_EQ(batch.shards.size(), 1u);
-    const ShardOutcome &shard = batch.shards[0];
-    ASSERT_TRUE(batch.allOk())
-        << "shard degraded under " << faultKindName(kind);
-    EXPECT_GE(shard.retries, 1) << "the fault never fired";
-    EXPECT_GE(shard.recoveries, 1u)
+    const FleetResult res = runFleetInProcess(spec, opts, plan);
+    ASSERT_EQ(res.workers.size(), 1u);
+    const FleetWorkerStats &range = res.workers[0];
+    ASSERT_TRUE(res.allOk())
+        << "range degraded under " << faultKindName(kind) << ": "
+        << range.last_error;
+    EXPECT_GE(range.respawns, 1) << "the fault never fired";
+    EXPECT_GE(range.recoveries, 1u)
         << "recovery never resumed from a persisted checkpoint";
-    expectResultsEqual(direct, shard.result);
+    expectResultsEqual(directRun(spec, 0), res.devices[0].result);
 }
 
 TEST(FaultInjection, CrashAtCheckpointRecoversBitExact)
@@ -146,87 +171,70 @@ TEST(FaultInjection, StallIsCancelledAndRecoversBitExact)
 
 TEST(FaultInjection, MultiShardRandomizedPlanStaysBitExact)
 {
-    // A seed-derived plan hits every shard once; all recover and all
+    // A seed-derived plan hits every device once; all recover and all
     // match their uninterrupted twins.
-    std::vector<ScenarioConfig> shards;
-    for (std::uint64_t s = 0; s < 3; ++s)
-        shards.push_back(shardScenario(100 + s));
+    const FleetSpec spec = shardFleet(100, 3);
 
-    SupervisorOptions opts;
-    opts.store_dir = freshDir("random");
-    opts.checkpoint_every_tasks = 2;
+    FleetOptions opts = shardOptions(freshDir("random"), 3);
     opts.max_retries = 3;
     opts.watchdog_deadline = 0.2;
 
-    const FaultPlan plan = FaultPlan::randomized(
-        0xC0FFEEu, static_cast<int>(shards.size()), 3);
-    ASSERT_EQ(plan.faults.size(), shards.size());
+    const FaultPlan plan =
+        FaultPlan::randomized(0xC0FFEEu, spec.num_devices, 3);
+    ASSERT_EQ(plan.faults.size(),
+              static_cast<std::size_t>(spec.num_devices));
 
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(shards, opts, plan);
-    ASSERT_TRUE(batch.allOk());
-    for (std::size_t i = 0; i < shards.size(); ++i)
-        expectResultsEqual(runScenario(shards[i]),
-                           batch.shards[i].result);
+    const FleetResult res = runFleetInProcess(spec, opts, plan);
+    ASSERT_TRUE(res.allOk());
+    for (int d = 0; d < spec.num_devices; ++d)
+        expectResultsEqual(directRun(spec, d),
+                           res.devices[static_cast<std::size_t>(d)].result);
 }
 
 TEST(FaultInjection, ExhaustedRetriesReportDegradedNotDropped)
 {
-    std::vector<ScenarioConfig> shards{shardScenario(5),
-                                       shardScenario(6)};
+    const FleetSpec spec = shardFleet(5, 2);
 
-    SupervisorOptions opts;
-    opts.store_dir = freshDir("degraded");
-    opts.checkpoint_every_tasks = 2;
+    FleetOptions opts = shardOptions(freshDir("degraded"), 2);
     opts.max_retries = 0; // one attempt: the injected fault is fatal
 
     FaultPlan plan;
     plan.faults.push_back({0, FaultKind::WorkerException, 1});
 
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(shards, opts, plan);
-    ASSERT_EQ(batch.shards.size(), 2u);
-    EXPECT_FALSE(batch.allOk());
+    const FleetResult res = runFleetInProcess(spec, opts, plan);
+    ASSERT_EQ(res.workers.size(), 2u);
+    EXPECT_FALSE(res.allOk());
 
-    const ShardOutcome &failed = batch.shards[0];
+    const FleetWorkerStats &failed = res.workers[0];
     EXPECT_TRUE(failed.degraded);
-    ASSERT_TRUE(failed.error != nullptr);
-    try {
-        std::rethrow_exception(failed.error);
-        FAIL() << "degraded shard carried no exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("injected"),
-                  std::string::npos);
-    }
+    EXPECT_NE(failed.last_error.find("injected"), std::string::npos)
+        << failed.last_error;
+    EXPECT_FALSE(res.devices[0].completed);
 
-    // The healthy shard is unaffected by its neighbour's failure.
-    EXPECT_FALSE(batch.shards[1].degraded);
-    expectResultsEqual(runScenario(shards[1]), batch.shards[1].result);
+    // The healthy range is unaffected by its neighbour's failure.
+    EXPECT_FALSE(res.workers[1].degraded);
+    expectResultsEqual(directRun(spec, 1), res.devices[1].result);
 }
 
 TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
 {
-    // Kill a batch externally (simulated by a fatal first run), then
-    // rerun the supervisor over the same store: the second run picks
-    // up the persisted shard checkpoints instead of starting over,
-    // and still matches the uninterrupted result.
-    const ScenarioConfig cfg = shardScenario(21);
-    SupervisorOptions opts;
-    opts.store_dir = freshDir("rerun");
-    opts.checkpoint_every_tasks = 2;
+    // Kill a fleet externally (simulated by a fatal first run), then
+    // rerun it over the same store: the second run picks up the
+    // persisted device checkpoints instead of starting over, and
+    // still matches the uninterrupted result.
+    const FleetSpec spec = shardFleet(21, 1);
+    FleetOptions opts = shardOptions(freshDir("rerun"), 1);
     opts.max_retries = 0;
 
     FaultPlan crash;
     crash.faults.push_back({0, FaultKind::WorkerException, 2});
-    const SupervisedBatchResult first =
-        runSupervisedScenarioBatch({cfg}, opts, crash);
-    ASSERT_TRUE(first.shards[0].degraded);
+    const FleetResult first = runFleetInProcess(spec, opts, crash);
+    ASSERT_TRUE(first.workers[0].degraded);
 
-    const SupervisedBatchResult second =
-        runSupervisedScenarioBatch({cfg}, opts, FaultPlan{});
+    const FleetResult second = runFleetInProcess(spec, opts);
     ASSERT_TRUE(second.allOk());
-    EXPECT_GE(second.shards[0].recoveries, 1u);
-    expectResultsEqual(runScenario(cfg), second.shards[0].result);
+    EXPECT_GE(second.workers[0].recoveries, 1u);
+    expectResultsEqual(directRun(spec, 0), second.devices[0].result);
 }
 
 } // namespace

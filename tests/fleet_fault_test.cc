@@ -7,18 +7,18 @@
  *    bit-for-bit on every shared aggregate field and per-device
  *    checkpoint digest;
  *
- *  - for each process-level FaultKind (KillWorker / StallWorker /
- *    CorruptPipe), a run whose worker is killed, stalls, or corrupts
- *    its pipe — and is then respawned from persisted checkpoints —
- *    equals the uninterrupted run bit-for-bit;
+ *  - for KillWorker, Stall and CorruptPipe, a run whose worker is
+ *    killed, stalls, or corrupts its pipe — and is then respawned
+ *    from persisted checkpoints — equals the uninterrupted run
+ *    bit-for-bit;
  *
  *  - a seed-randomized multi-shard process plan stays bit-exact;
  *
  *  - a range that exhausts its respawns degrades instead of dropping:
  *    devices whose final checkpoints were already reaped still count.
  *
- * The thread supervisor must reject process-level kinds (its
- * transport cannot recover from them).
+ * The thread transport must reject process-level kinds (it cannot
+ * inject them).
  */
 
 #include <gtest/gtest.h>
@@ -167,7 +167,7 @@ processRecoveryParity(FaultKind kind)
     ASSERT_TRUE(clean.allOk());
 
     FleetOptions opts = fleetOptions(faultKindName(kind));
-    if (kind == FaultKind::StallWorker)
+    if (kind == FaultKind::Stall)
         opts.watchdog_deadline = 0.3; // seconds; slices run in ms
 
     FaultPlan plan;
@@ -195,9 +195,9 @@ TEST(FleetFault, KillWorkerRecoversBitExact)
     processRecoveryParity(FaultKind::KillWorker);
 }
 
-TEST(FleetFault, StallWorkerIsKilledAndRecoversBitExact)
+TEST(FleetFault, StallIsKilledAndRecoversBitExact)
 {
-    processRecoveryParity(FaultKind::StallWorker);
+    processRecoveryParity(FaultKind::Stall);
 }
 
 TEST(FleetFault, CorruptPipeIsRejectedAndRecoversBitExact)
@@ -256,6 +256,7 @@ TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
     // devices instead of starting over, and completes the fleet.
     const FleetResult rerun = runFleetMultiProcess(spec, opts);
     ASSERT_TRUE(rerun.allOk());
+    EXPECT_GE(rerun.workers[0].recoveries, 1u);
     EXPECT_EQ(rerun.aggregates.degraded_devices, 0u);
     EXPECT_EQ(rerun.devices[0].checkpoint_digest,
               res.devices[0].checkpoint_digest);

@@ -5,10 +5,15 @@
  * path, PCM melt/refreeze cycles across a burst train, warm machine
  * re-activation, and the pacing <-> scenario consistency property
  * (the analytical sustainableDutyCycle bound upper-bounds the duty
- * cycle the engine achieves on a saturating burst train).
+ * cycle the engine achieves on a saturating burst train). Every
+ * configuration error a user can reach throws std::invalid_argument
+ * from beginScenario, before any work starts.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "sprint/experiment.hh"
 #include "sprint/pacing.hh"
@@ -560,6 +565,96 @@ TEST(ScenarioProperty, PacedPolicyHoldsDutyTighterThanGreedy)
     const ScenarioResult sg = runScenario(greedy);
     const ScenarioResult sp = runScenario(paced);
     EXPECT_LE(sp.total_sprint_time, sg.total_sprint_time + 1e-9);
+}
+
+/** @p cfg must be rejected up front with a message naming @p what. */
+void
+expectConfigRejected(const ScenarioConfig &cfg, const std::string &what)
+{
+    try {
+        beginScenario(cfg);
+        FAIL() << "accepted a config with " << what;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+/** A valid surrogate-tier scenario the cases below break one way each. */
+ScenarioConfig
+surrogateScenario()
+{
+    ScenarioConfig cfg = smallScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Periodic, 4);
+    cfg.surrogate.tier = FidelityTier::Auto;
+    return cfg;
+}
+
+TEST(ScenarioConfigErrors, ZeroTasksThrows)
+{
+    ScenarioConfig cfg = smallScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Periodic, 0);
+    expectConfigRejected(cfg, "at least one task");
+}
+
+TEST(ScenarioConfigErrors, NonPositivePeriodThrows)
+{
+    ScenarioConfig cfg = smallScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Periodic, 4);
+    cfg.period = 0.0;
+    expectConfigRejected(cfg, "positive period");
+    cfg.period = -1e-3;
+    expectConfigRejected(cfg, "positive period");
+}
+
+TEST(ScenarioConfigErrors, ZeroBurstSizeThrows)
+{
+    ScenarioConfig cfg = smallScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Bursty, 4);
+    cfg.burst_size = 0;
+    expectConfigRejected(cfg, "at least one task");
+}
+
+TEST(ScenarioConfigErrors, SurrogateWithWarmCachesThrows)
+{
+    ScenarioConfig cfg = surrogateScenario();
+    cfg.warm_caches = true;
+    expectConfigRejected(cfg, "cold caches");
+}
+
+TEST(ScenarioConfigErrors, SurrogateWithPreemptivePolicyThrows)
+{
+    ScenarioConfig cfg = surrogateScenario();
+    cfg.policy.kind = SprintPolicyKind::Qos;
+    expectConfigRejected(cfg, "non-preemptive policy");
+}
+
+TEST(ScenarioConfigErrors, SurrogateMinCalibrationThrows)
+{
+    ScenarioConfig cfg = surrogateScenario();
+    cfg.surrogate.min_calibration = 0;
+    expectConfigRejected(cfg, "calibration task");
+}
+
+TEST(ScenarioConfigErrors, SurrogateAuditPeriodThrows)
+{
+    ScenarioConfig cfg = surrogateScenario();
+    cfg.surrogate.audit_period = 0.5;
+    expectConfigRejected(cfg, "audit period");
+}
+
+TEST(ScenarioConfigErrors, SurrogateToleranceThrows)
+{
+    ScenarioConfig cfg = surrogateScenario();
+    cfg.surrogate.tolerance = 0.0;
+    expectConfigRejected(cfg, "audit tolerance");
+}
+
+TEST(ScenarioConfigErrors, SurrogateProfileSamplesThrows)
+{
+    ScenarioConfig cfg = surrogateScenario();
+    cfg.surrogate.profile_samples = 0;
+    expectConfigRejected(cfg, "heat profile");
 }
 
 } // namespace
