@@ -44,7 +44,7 @@ struct ExperimentSpec
     /**
      * Scheduler loop for the architectural simulator. EventDriven is
      * the production path; Reference retains the cycle-by-cycle seed
-     * loop for parity measurement (bench/archsim_report.cc and the
+     * loop for parity measurement (`report --check archsim` and the
      * machine-determinism tests hold the two bit-identical).
      */
     MachineLoop loop = MachineLoop::EventDriven;

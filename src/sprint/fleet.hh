@@ -29,7 +29,7 @@
  *    SIGKILLs a silent worker, and an injected fault _exits, SIGKILLs
  *    itself, stalls, or corrupts its pipe.
  *
- * Determinism gates (tests/fleet_fault_test.cc, bench/fleet_report.cc):
+ * Determinism gates (tests/fleet_fault_test.cc, `report --check fleet`):
  * the multi-process run equals the in-process run bit-for-bit on
  * every shared aggregate field and per-device checkpoint digest, and
  * a run faulted at a random checkpoint equals the uninterrupted run

@@ -18,7 +18,7 @@
  *
  * A single back-to-back task under the greedy policy is exactly
  * runSprint(): same package lifecycle, same policy arithmetic, same
- * sample pump — bench/scenario_report.cc gates that equivalence
+ * sample pump — `report --check scenario` gates that equivalence
  * bit-for-bit on the fig07 configurations.
  *
  * Long-horizon fast path (PERF.md, "Long-horizon scenarios"): idle
@@ -453,7 +453,7 @@ struct ScenarioTaskExecution
  * is plain value state). Obtained from beginScenario(), advanced by
  * advanceScenario(), consumed by finishScenario(); replaying a
  * timeline through any shard sizes reproduces the unsharded run
- * bit-for-bit (gated in bench/scenario_scale_report.cc).
+ * bit-for-bit (gated by `report --check scale`).
  */
 struct ScenarioCheckpoint
 {

@@ -15,7 +15,7 @@
  * aggregates), a shard that crashes and recovers any number of times
  * finishes bit-identical to an uninterrupted run.
  * tests/faultinject_test.cc holds that gate per fault kind;
- * bench/faultinject_report.cc re-checks it in CI under a rotating
+ * `report --check faultinject` re-checks it in CI under a rotating
  * seed.
  *
  * Fault injection is first-class and seed-deterministic: a FaultPlan

@@ -4,8 +4,8 @@
  * path: the PCM-ladder network used by the PCM-heavy benchmarks, and
  * the phonePcm melt/freeze parity trace that compares the optimized
  * Heun integrator against the retained reference Euler. Kept in one
- * place so the microbenchmark, the BENCH_thermal.json report tool,
- * and the parity test all measure the same thing.
+ * place so the microbenchmark, `report --check thermal`, and the
+ * parity test all measure the same thing.
  */
 
 #ifndef CSPRINT_THERMAL_VALIDATION_HH
@@ -88,7 +88,7 @@ runMeltFreezeParity(int sprint_steps, int cooldown_steps)
  * The canonical quiescent-idle cooldown scenario: melt the PCM at
  * @p heat_power, cut the power, and cool through refreeze to ambient
  * over @p gap in @p samples sampled chunks. One definition shared by
- * gate 2 of BENCH_scale.json (bench/scenario_scale_report.cc),
+ * the idle_deviation gate of `report --check scale`,
  * BM_IdleCooling (bench/microbench.cc), and the quiescent parity test
  * (tests/thermal_quiescent_test.cc), so all three measure the same
  * thing.

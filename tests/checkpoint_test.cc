@@ -16,11 +16,15 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/tempdir.hh"
 #include "sprint/checkpoint.hh"
+#include "sprint/compare.hh"
 #include "sprint/experiment.hh"
 #include "sprint/scenario.hh"
 #include "workloads/workload.hh"
@@ -70,54 +74,6 @@ preemptiveScenario(int tasks)
     return cfg;
 }
 
-void
-expectResultsEqual(const ScenarioResult &a, const ScenarioResult &b)
-{
-    EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-    EXPECT_EQ(a.sprints_granted, b.sprints_granted);
-    EXPECT_EQ(a.sprints_denied, b.sprints_denied);
-    EXPECT_EQ(a.sprints_exhausted, b.sprints_exhausted);
-    EXPECT_EQ(a.hardware_throttles, b.hardware_throttles);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.tasks_dropped, b.tasks_dropped);
-    EXPECT_EQ(a.deadlines_met, b.deadlines_met);
-    EXPECT_EQ(a.deadlines_missed, b.deadlines_missed);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.p50_response, b.p50_response);
-    EXPECT_EQ(a.p95_response, b.p95_response);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.total_sprint_time, b.total_sprint_time);
-    EXPECT_EQ(a.total_sprint_energy, b.total_sprint_energy);
-    EXPECT_EQ(a.peak_melt_fraction, b.peak_melt_fraction);
-    EXPECT_EQ(a.sprint_rest_cycles, b.sprint_rest_cycles);
-    EXPECT_EQ(a.surrogate_tasks, b.surrogate_tasks);
-    EXPECT_EQ(a.audit_tasks, b.audit_tasks);
-    EXPECT_EQ(a.surrogate_demotions, b.surrogate_demotions);
-    EXPECT_EQ(a.junction_trace.timeData(), b.junction_trace.timeData());
-    EXPECT_EQ(a.junction_trace.valueData(), b.junction_trace.valueData());
-    EXPECT_EQ(a.power_trace.timeData(), b.power_trace.timeData());
-    EXPECT_EQ(a.power_trace.valueData(), b.power_trace.valueData());
-    EXPECT_EQ(a.melt_trace.timeData(), b.melt_trace.timeData());
-    EXPECT_EQ(a.melt_trace.valueData(), b.melt_trace.valueData());
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        EXPECT_EQ(a.tasks[i].arrival, b.tasks[i].arrival);
-        EXPECT_EQ(a.tasks[i].start, b.tasks[i].start);
-        EXPECT_EQ(a.tasks[i].finish, b.tasks[i].finish);
-        EXPECT_EQ(a.tasks[i].response, b.tasks[i].response);
-        EXPECT_EQ(a.tasks[i].sprint_granted, b.tasks[i].sprint_granted);
-        EXPECT_EQ(a.tasks[i].preemptions, b.tasks[i].preemptions);
-        EXPECT_EQ(a.tasks[i].deadline_met, b.tasks[i].deadline_met);
-        EXPECT_EQ(a.tasks[i].melt_at_end, b.tasks[i].melt_at_end);
-        EXPECT_EQ(a.tasks[i].run.dynamic_energy,
-                  b.tasks[i].run.dynamic_energy);
-        EXPECT_EQ(a.tasks[i].run.machine.cycles,
-                  b.tasks[i].run.machine.cycles);
-    }
-}
-
 /**
  * The core property: advance to a boundary, serialize, deserialize,
  * serialize again (bytes identical), then drive the original and the
@@ -145,8 +101,9 @@ roundTripAndFinish(const ScenarioConfig &cfg,
     }
     while (!advanceScenario(cfg, restored, 1)) {
     }
-    expectResultsEqual(finishScenario(cfg, std::move(ck)),
-                       finishScenario(cfg, std::move(restored)));
+    EXPECT_EQ(firstDifference(finishScenario(cfg, std::move(ck)),
+                              finishScenario(cfg, std::move(restored))),
+              "");
 }
 
 TEST(CheckpointRoundTrip, GreedyPeriodic)
@@ -220,7 +177,8 @@ TEST(CheckpointRoundTrip, ResumeFromBytesAtEveryBoundary)
         done = advanceScenario(cfg, ck, 1);
         ck = deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
     }
-    expectResultsEqual(direct, finishScenario(cfg, std::move(ck)));
+    EXPECT_EQ(firstDifference(direct, finishScenario(cfg, std::move(ck))),
+              "");
 }
 
 TEST(CheckpointArrivals, PoissonCursorContinuesExactStream)
@@ -424,21 +382,10 @@ TEST(CheckpointValidation, RejectsTamperedState)
     }
 }
 
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-") + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir ? dir : "/tmp");
-}
-
 TEST(CheckpointStoreTest, SaveLoadAndManifestPreference)
 {
-    const std::string dir = freshDir("store");
-    CheckpointStore store(dir);
+    const ScopedTempDir dir("store");
+    CheckpointStore store(dir.path());
 
     const std::vector<std::uint8_t> one{1, 2, 3};
     const std::vector<std::uint8_t> two{4, 5, 6, 7};
@@ -458,8 +405,8 @@ TEST(CheckpointStoreTest, SaveLoadAndManifestPreference)
 
 TEST(CheckpointStoreTest, PrunesToTwoNewest)
 {
-    const std::string dir = freshDir("prune");
-    CheckpointStore store(dir);
+    const ScopedTempDir dir("prune");
+    CheckpointStore store(dir.path());
     for (std::uint64_t seq = 1; seq <= 5; ++seq)
         store.save(0, seq, {static_cast<std::uint8_t>(seq)});
     const auto cands = store.loadCandidates(0);
@@ -478,8 +425,8 @@ TEST(CheckpointStoreTest, CorruptNewestFallsBackToPredecessor)
     advanceScenario(cfg, ck, 1);
     const std::vector<std::uint8_t> newer = serializeCheckpoint(cfg, ck);
 
-    const std::string dir = freshDir("fallback");
-    CheckpointStore store(dir);
+    const ScopedTempDir dir("fallback");
+    CheckpointStore store(dir.path());
     store.save(0, 1, good);
     store.save(0, 2, newer);
 
@@ -516,12 +463,12 @@ TEST(CheckpointStoreTest, SecondWriterOnSameShardIsLockedOut)
     // live stores interleaving saves could delete each other's newest
     // file. save() now takes a per-shard flock; a conflicting writer
     // fails typed instead of corrupting the store.
-    const std::string dir = freshDir("lock");
-    CheckpointStore first(dir);
+    const ScopedTempDir dir("lock");
+    CheckpointStore first(dir.path());
     first.save(0, 1, {1, 2, 3});
 
     {
-        CheckpointStore second(dir);
+        CheckpointStore second(dir.path());
         try {
             second.save(0, 2, {9, 9});
             FAIL() << "conflicting writer acquired shard 0";
@@ -542,26 +489,48 @@ TEST(CheckpointStoreTest, SecondWriterOnSameShardIsLockedOut)
     // proceeds normally.
     first.save(0, 2, {7});
     {
-        CheckpointStore third(dir);
+        CheckpointStore third(dir.path());
         EXPECT_THROW(third.save(0, 3, {8}), CheckpointError);
     }
-    CheckpointStore fourth(dir);
+    CheckpointStore fourth(dir.path());
     // `first` is still alive and holds shard 0 until scope exit.
     EXPECT_THROW(fourth.save(0, 3, {8}), CheckpointError);
 }
 
 TEST(CheckpointStoreTest, LockReleasedOnDestructionAdmitsNewWriter)
 {
-    const std::string dir = freshDir("relock");
+    const ScopedTempDir dir("relock");
     {
-        CheckpointStore writer(dir);
+        CheckpointStore writer(dir.path());
         writer.save(2, 1, {1});
     }
-    CheckpointStore next(dir);
+    CheckpointStore next(dir.path());
     EXPECT_NO_THROW(next.save(2, 2, {2}));
     const auto cands = next.loadCandidates(2);
     ASSERT_EQ(cands.size(), 2u);
     EXPECT_EQ(cands[0].seq, 2u);
+}
+
+TEST(CheckpointStoreTest, ScopedTempDirRemovesTheStoreOnScopeExit)
+{
+    std::string path, file;
+    {
+        const ScopedTempDir dir("scoped");
+        path = dir.path();
+        EXPECT_EQ(path.rfind("/tmp/csprint-scoped-", 0), 0u) << path;
+        CheckpointStore store(path);
+        store.save(0, 1, {1, 2, 3});
+        file = store.checkpointPath(0, 1);
+        ASSERT_TRUE(std::filesystem::exists(file));
+    }
+    EXPECT_FALSE(std::filesystem::exists(file));
+    EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(CheckpointStoreTest, ScopedTempDirFailsWhenMkdtempFails)
+{
+    // No fallback directory that the destructor could then remove.
+    EXPECT_THROW(ScopedTempDir("no-such-parent/x"), std::runtime_error);
 }
 
 TEST(CheckpointUnsupported, ForeignStreamTypeFailsTheSave)

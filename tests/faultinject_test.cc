@@ -17,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/tempdir.hh"
 #include "sprint/checkpoint.hh"
+#include "sprint/compare.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
@@ -71,59 +73,14 @@ directRun(const FleetSpec &spec, int d)
     return runScenario(fleetDeviceConfig(spec, d));
 }
 
-void
-expectResultsEqual(const ScenarioResult &a, const ScenarioResult &b)
-{
-    EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-    EXPECT_EQ(a.sprints_granted, b.sprints_granted);
-    EXPECT_EQ(a.sprints_denied, b.sprints_denied);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.deadlines_met, b.deadlines_met);
-    EXPECT_EQ(a.deadlines_missed, b.deadlines_missed);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.p50_response, b.p50_response);
-    EXPECT_EQ(a.p95_response, b.p95_response);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.total_sprint_time, b.total_sprint_time);
-    EXPECT_EQ(a.total_sprint_energy, b.total_sprint_energy);
-    EXPECT_EQ(a.peak_melt_fraction, b.peak_melt_fraction);
-    EXPECT_EQ(a.sprint_rest_cycles, b.sprint_rest_cycles);
-    EXPECT_EQ(a.junction_trace.timeData(), b.junction_trace.timeData());
-    EXPECT_EQ(a.junction_trace.valueData(),
-              b.junction_trace.valueData());
-    EXPECT_EQ(a.power_trace.timeData(), b.power_trace.timeData());
-    EXPECT_EQ(a.power_trace.valueData(), b.power_trace.valueData());
-    EXPECT_EQ(a.melt_trace.timeData(), b.melt_trace.timeData());
-    EXPECT_EQ(a.melt_trace.valueData(), b.melt_trace.valueData());
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        EXPECT_EQ(a.tasks[i].finish, b.tasks[i].finish);
-        EXPECT_EQ(a.tasks[i].response, b.tasks[i].response);
-        EXPECT_EQ(a.tasks[i].run.dynamic_energy,
-                  b.tasks[i].run.dynamic_energy);
-    }
-}
-
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-") + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir ? dir : "/tmp");
-}
-
 /** Recovered-equals-uninterrupted, parameterized by the fault kind. */
 void
 recoveryParity(FaultKind kind)
 {
     const FleetSpec spec = shardFleet(11, 1);
 
-    FleetOptions opts = shardOptions(freshDir(faultKindName(kind)), 1);
+    const ScopedTempDir store(faultKindName(kind));
+    FleetOptions opts = shardOptions(store.path(), 1);
     opts.max_retries = 2;
     opts.paranoia = true;
     if (kind == FaultKind::Stall)
@@ -141,7 +98,8 @@ recoveryParity(FaultKind kind)
     EXPECT_GE(range.respawns, 1) << "the fault never fired";
     EXPECT_GE(range.recoveries, 1u)
         << "recovery never resumed from a persisted checkpoint";
-    expectResultsEqual(directRun(spec, 0), res.devices[0].result);
+    EXPECT_EQ(firstDifference(directRun(spec, 0), res.devices[0].result),
+              "");
 }
 
 TEST(FaultInjection, CrashAtCheckpointRecoversBitExact)
@@ -175,7 +133,8 @@ TEST(FaultInjection, MultiShardRandomizedPlanStaysBitExact)
     // match their uninterrupted twins.
     const FleetSpec spec = shardFleet(100, 3);
 
-    FleetOptions opts = shardOptions(freshDir("random"), 3);
+    const ScopedTempDir store("random");
+    FleetOptions opts = shardOptions(store.path(), 3);
     opts.max_retries = 3;
     opts.watchdog_deadline = 0.2;
 
@@ -187,15 +146,19 @@ TEST(FaultInjection, MultiShardRandomizedPlanStaysBitExact)
     const FleetResult res = runFleetInProcess(spec, opts, plan);
     ASSERT_TRUE(res.allOk());
     for (int d = 0; d < spec.num_devices; ++d)
-        expectResultsEqual(directRun(spec, d),
-                           res.devices[static_cast<std::size_t>(d)].result);
+        EXPECT_EQ(
+            firstDifference(directRun(spec, d),
+                            res.devices[static_cast<std::size_t>(d)].result),
+            "")
+            << "device " << d;
 }
 
 TEST(FaultInjection, ExhaustedRetriesReportDegradedNotDropped)
 {
     const FleetSpec spec = shardFleet(5, 2);
 
-    FleetOptions opts = shardOptions(freshDir("degraded"), 2);
+    const ScopedTempDir store("degraded");
+    FleetOptions opts = shardOptions(store.path(), 2);
     opts.max_retries = 0; // one attempt: the injected fault is fatal
 
     FaultPlan plan;
@@ -213,7 +176,8 @@ TEST(FaultInjection, ExhaustedRetriesReportDegradedNotDropped)
 
     // The healthy range is unaffected by its neighbour's failure.
     EXPECT_FALSE(res.workers[1].degraded);
-    expectResultsEqual(directRun(spec, 1), res.devices[1].result);
+    EXPECT_EQ(firstDifference(directRun(spec, 1), res.devices[1].result),
+              "");
 }
 
 TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
@@ -223,7 +187,8 @@ TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
     // persisted device checkpoints instead of starting over, and
     // still matches the uninterrupted result.
     const FleetSpec spec = shardFleet(21, 1);
-    FleetOptions opts = shardOptions(freshDir("rerun"), 1);
+    const ScopedTempDir store("rerun");
+    FleetOptions opts = shardOptions(store.path(), 1);
     opts.max_retries = 0;
 
     FaultPlan crash;
@@ -234,7 +199,8 @@ TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
     const FleetResult second = runFleetInProcess(spec, opts);
     ASSERT_TRUE(second.allOk());
     EXPECT_GE(second.workers[0].recoveries, 1u);
-    expectResultsEqual(directRun(spec, 0), second.devices[0].result);
+    EXPECT_EQ(
+        firstDifference(directRun(spec, 0), second.devices[0].result), "");
 }
 
 } // namespace

@@ -24,12 +24,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
+#include "common/tempdir.hh"
 #include "sprint/checkpoint.hh"
+#include "sprint/compare.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 #include "sprint/supervisor.hh"
@@ -64,56 +64,16 @@ faultFleet(std::uint64_t seed)
     return spec;
 }
 
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-") + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir ? dir : "/tmp");
-}
-
+/** Two ranges with checkpoints in @p store. */
 FleetOptions
-fleetOptions(const char *tag)
+fleetOptions(const ScopedTempDir &store)
 {
     FleetOptions opts;
     opts.num_workers = 2;
     opts.checkpoint_every_tasks = 2;
     opts.max_retries = 3;
-    opts.store_dir = freshDir(tag);
+    opts.store_dir = store.path();
     return opts;
-}
-
-void
-expectAggregatesBitEqual(const FleetAggregates &a,
-                         const FleetAggregates &b)
-{
-    EXPECT_EQ(a.devices, b.devices);
-    EXPECT_EQ(a.degraded_devices, b.degraded_devices);
-    EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-    EXPECT_EQ(a.tasks_dropped, b.tasks_dropped);
-    EXPECT_EQ(a.deadlines_met, b.deadlines_met);
-    EXPECT_EQ(a.deadlines_missed, b.deadlines_missed);
-    EXPECT_EQ(a.sprints_granted, b.sprints_granted);
-    EXPECT_EQ(a.sprints_denied, b.sprints_denied);
-    EXPECT_EQ(a.hardware_throttles, b.hardware_throttles);
-    EXPECT_EQ(a.melt_cycles, b.melt_cycles);
-    EXPECT_EQ(a.thermal_violations, b.thermal_violations);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.peak_melt, b.peak_melt);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.total_sprint_time, b.total_sprint_time);
-    EXPECT_EQ(a.total_sprint_energy, b.total_sprint_energy);
-    double sa[P2Quantile::kStateSize];
-    double sb[P2Quantile::kStateSize];
-    a.response_p50.save(sa);
-    b.response_p50.save(sb);
-    EXPECT_EQ(0, std::memcmp(sa, sb, sizeof(sa)));
-    a.response_p95.save(sa);
-    b.response_p95.save(sb);
-    EXPECT_EQ(0, std::memcmp(sa, sb, sizeof(sa)));
 }
 
 std::string
@@ -129,29 +89,17 @@ workerErrors(const FleetResult &res)
     return out;
 }
 
-void
-expectFleetsBitEqual(const FleetResult &a, const FleetResult &b)
-{
-    expectAggregatesBitEqual(a.aggregates, b.aggregates);
-    ASSERT_EQ(a.devices.size(), b.devices.size());
-    for (std::size_t d = 0; d < a.devices.size(); ++d) {
-        EXPECT_EQ(a.devices[d].completed, b.devices[d].completed);
-        EXPECT_EQ(a.devices[d].checkpoint_digest,
-                  b.devices[d].checkpoint_digest)
-            << "device " << d;
-    }
-}
-
 TEST(FleetFault, MultiProcessMatchesInProcessBitExact)
 {
     const FleetSpec spec = faultFleet(51);
+    const ScopedTempDir ip_store("ffip"), mp_store("ffmp");
     const FleetResult ip =
-        runFleetInProcess(spec, fleetOptions("ffip"));
+        runFleetInProcess(spec, fleetOptions(ip_store));
     const FleetResult mp =
-        runFleetMultiProcess(spec, fleetOptions("ffmp"));
+        runFleetMultiProcess(spec, fleetOptions(mp_store));
     ASSERT_TRUE(ip.allOk()) << workerErrors(ip);
     ASSERT_TRUE(mp.allOk()) << workerErrors(mp);
-    expectFleetsBitEqual(ip, mp);
+    EXPECT_EQ(firstDifference(ip, mp), "");
     for (const FleetWorkerStats &w : mp.workers)
         EXPECT_EQ(w.respawns, 0) << w.last_error;
 }
@@ -162,11 +110,13 @@ processRecoveryParity(FaultKind kind)
 {
     const FleetSpec spec = faultFleet(77);
 
+    const ScopedTempDir clean_store("clean");
     const FleetResult clean =
-        runFleetMultiProcess(spec, fleetOptions("clean"));
+        runFleetMultiProcess(spec, fleetOptions(clean_store));
     ASSERT_TRUE(clean.allOk());
 
-    FleetOptions opts = fleetOptions(faultKindName(kind));
+    const ScopedTempDir store(faultKindName(kind));
+    FleetOptions opts = fleetOptions(store);
     if (kind == FaultKind::Stall)
         opts.watchdog_deadline = 0.3; // seconds; slices run in ms
 
@@ -182,12 +132,13 @@ processRecoveryParity(FaultKind kind)
         respawns += w.respawns;
     EXPECT_GE(respawns, 1) << "the fault never fired";
 
-    expectFleetsBitEqual(clean, faulted);
+    EXPECT_EQ(firstDifference(clean, faulted), "");
 
     // And against the in-process run, closing the triangle.
+    const ScopedTempDir ip_store("tri");
     const FleetResult ip =
-        runFleetInProcess(spec, fleetOptions("tri"));
-    expectFleetsBitEqual(ip, faulted);
+        runFleetInProcess(spec, fleetOptions(ip_store));
+    EXPECT_EQ(firstDifference(ip, faulted), "");
 }
 
 TEST(FleetFault, KillWorkerRecoversBitExact)
@@ -209,11 +160,12 @@ TEST(FleetFault, RandomizedMultiShardProcessPlanStaysBitExact)
 {
     const FleetSpec spec = faultFleet(91);
 
+    const ScopedTempDir clean_store("rclean"), store("rfault");
     const FleetResult clean =
-        runFleetMultiProcess(spec, fleetOptions("rclean"));
+        runFleetMultiProcess(spec, fleetOptions(clean_store));
     ASSERT_TRUE(clean.allOk());
 
-    FleetOptions opts = fleetOptions("rfault");
+    FleetOptions opts = fleetOptions(store);
     opts.max_retries = 6; // every device draws one fault
     opts.watchdog_deadline = 0.5;
     const FaultPlan plan =
@@ -223,14 +175,15 @@ TEST(FleetFault, RandomizedMultiShardProcessPlanStaysBitExact)
 
     const FleetResult faulted = runFleetMultiProcess(spec, opts, plan);
     ASSERT_TRUE(faulted.allOk());
-    expectFleetsBitEqual(clean, faulted);
+    EXPECT_EQ(firstDifference(clean, faulted), "");
 }
 
 TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
 {
     const FleetSpec spec = faultFleet(33);
 
-    FleetOptions opts = fleetOptions("degraded");
+    const ScopedTempDir store("degraded");
+    FleetOptions opts = fleetOptions(store);
     opts.num_workers = 1;
     opts.max_retries = 0; // one attempt: the injected fault is fatal
 
@@ -265,10 +218,11 @@ TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
 TEST(FleetFault, ThreadTransportRejectsProcessKinds)
 {
     const FleetSpec spec = faultFleet(12);
+    const ScopedTempDir store("reject");
     FaultPlan plan;
     plan.faults.push_back({0, FaultKind::KillWorker, 1});
     try {
-        runFleetInProcess(spec, fleetOptions("reject"), plan);
+        runFleetInProcess(spec, fleetOptions(store), plan);
         FAIL() << "process-level fault accepted by the thread transport";
     } catch (const CheckpointError &e) {
         EXPECT_EQ(e.kind(), CheckpointError::Kind::Unsupported);
@@ -278,7 +232,8 @@ TEST(FleetFault, ThreadTransportRejectsProcessKinds)
 TEST(FleetFault, MissingWorkerBinaryFailsWithIoError)
 {
     const FleetSpec spec = faultFleet(13);
-    FleetOptions opts = fleetOptions("nobin");
+    const ScopedTempDir store("nobin");
+    FleetOptions opts = fleetOptions(store);
     opts.worker_path = "/nonexistent/csprint-fleet-worker";
     try {
         runFleetMultiProcess(spec, opts);

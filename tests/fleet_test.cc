@@ -14,14 +14,15 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "common/tempdir.hh"
 #include "sprint/checkpoint.hh"
+#include "sprint/compare.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 
@@ -61,27 +62,6 @@ smallFleet(std::uint64_t seed, int num_devices)
     spec.classes.push_back(paced);
 
     return spec;
-}
-
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-") + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir ? dir : "/tmp");
-}
-
-void
-expectP2BitEqual(const P2Quantile &a, const P2Quantile &b)
-{
-    double sa[P2Quantile::kStateSize];
-    double sb[P2Quantile::kStateSize];
-    a.save(sa);
-    b.save(sb);
-    EXPECT_EQ(0, std::memcmp(sa, sb, sizeof(sa)));
 }
 
 TEST(FleetSampling, DeviceConfigIsReproducible)
@@ -279,12 +259,7 @@ TEST(FleetAggregatesTest, WireRoundTripIsBitExact)
     const auto blob = serializeFleetAggregates(agg, digest);
     const FleetAggregates back =
         deserializeFleetAggregates(blob, digest);
-    EXPECT_EQ(agg.devices, back.devices);
-    EXPECT_EQ(agg.tasks_completed, back.tasks_completed);
-    EXPECT_EQ(agg.thermal_violations, back.thermal_violations);
-    EXPECT_EQ(agg.peak_junction, back.peak_junction);
-    expectP2BitEqual(agg.response_p50, back.response_p50);
-    expectP2BitEqual(agg.response_p95, back.response_p95);
+    EXPECT_EQ(firstDifference(agg, back), "");
 
     // Sealed against the fleet digest: a different fleet's aggregates
     // cannot be folded in by mistake.
@@ -324,7 +299,7 @@ TEST(P2Merge, MergeIsDeterministic)
         b.add(rng.uniform());
     a1.merge(b);
     a2.merge(b);
-    expectP2BitEqual(a1, a2);
+    EXPECT_EQ(firstDifference(a1, a2), "");
 }
 
 TEST(P2Merge, OrderInsensitiveWithinTolerance)
@@ -371,10 +346,11 @@ TEST(FleetInProcess, SmallFleetAggregatesSensibly)
 {
     const FleetSpec spec = smallFleet(42, 6);
 
+    const ScopedTempDir store("fleet-ip"), store1("fleet-ip1");
     FleetOptions opts;
     opts.num_workers = 2;
     opts.checkpoint_every_tasks = 2;
-    opts.store_dir = freshDir("fleet-ip");
+    opts.store_dir = store.path();
 
     const FleetResult res = runFleetInProcess(spec, opts);
     EXPECT_TRUE(res.allOk());
@@ -400,7 +376,7 @@ TEST(FleetInProcess, SmallFleetAggregatesSensibly)
     // vs two must agree on every counter.
     FleetOptions one = opts;
     one.num_workers = 1;
-    one.store_dir = freshDir("fleet-ip1");
+    one.store_dir = store1.path();
     const FleetResult res1 = runFleetInProcess(spec, one);
     EXPECT_EQ(res1.aggregates.tasks_completed,
               res.aggregates.tasks_completed);

@@ -121,7 +121,7 @@ TEST(MeltCycles, HysteresisCounting)
 
 TEST(Scenario, GreedySingleTaskMatchesRunSprintExactly)
 {
-    // The acceptance gate in miniature (scenario_report checks the
+    // The acceptance gate in miniature (report --check scenario checks the
     // full fig07 sobel-B configurations): one back-to-back task under
     // the greedy policy is the classic coupled run, bit for bit.
     ScenarioConfig cfg =

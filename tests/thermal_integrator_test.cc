@@ -34,7 +34,7 @@ TEST(IntegratorParity, HeunMatchesReferenceEulerOnMeltFreeze)
     // Full melt transient at 16 W, then a cooldown refreeze, on the
     // paper's phone package: the optimized path must track the
     // reference within 0.1 C everywhere, including both phase
-    // transitions. Uses the same shared trace as thermal_report.
+    // transitions. Uses the same shared trace as report --check thermal.
     const MeltFreezeParity parity = runMeltFreezeParity(1500, 20000);
     EXPECT_LT(parity.max_temp_dev, 0.1);
     EXPECT_LT(parity.max_mf_dev, 0.01);

@@ -34,7 +34,7 @@ TEST(Quiescent, FullMeltRefreezeCooldownTracksHeun)
     // The long-horizon idle path of the scenario engine: a fully
     // molten scaled package cooling through refreeze to ambient
     // (the canonical cooldown also measured by BM_IdleCooling and
-    // gate 2 of BENCH_scale.json). The quiescent path must track
+    // report --check scale). The quiescent path must track
     // plain Heun stepping at every sampled chunk boundary, within a
     // few multiples of the tolerance.
     const MobilePackageParams params =
