@@ -636,8 +636,10 @@ deserializeFleetAggregates(const std::vector<std::uint8_t> &blob,
         double st[P2Quantile::kStateSize];
         for (double &v : st)
             v = r.f64();
+        // The count must convert to size_t exactly: a double past 2^53
+        // (or past size_t) is no count P2Quantile::save wrote.
         if (st[0] != expect || !(st[1] >= 0.0) ||
-            !std::isfinite(st[1]))
+            !(st[1] <= 9007199254740992.0))
             throw CheckpointError(
                 CheckpointError::Kind::Corrupt,
                 "fleet aggregates: malformed quantile state");

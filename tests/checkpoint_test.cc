@@ -8,8 +8,10 @@
  * matches the uninterrupted run bit-for-bit; every single-byte
  * truncation prefix and sampled bit flip fails with a typed
  * CheckpointError (never UB); the deserialized Poisson arrival cursor
- * continues the exact stream; and CheckpointStore survives a corrupt
- * newest checkpoint via its retained predecessor.
+ * continues the exact stream; CheckpointStore survives a corrupt
+ * newest checkpoint via its retained predecessor; and re-sealed
+ * mutations of four seed blobs (tests/blob_fuzz.hh), which pass the
+ * frame and so reach the field validators, fail typed or load.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "blob_fuzz.hh"
 #include "common/tempdir.hh"
 #include "sprint/checkpoint.hh"
 #include "sprint/compare.hh"
@@ -124,11 +127,12 @@ TEST(CheckpointRoundTrip, PreemptiveMidFlight)
 TEST(CheckpointRoundTrip, ManyCoreOverflowedDirectory)
 {
     // 128 cores exceed the sparse directory's inline sharer slots on
-    // shared read-mostly lines, so overflow bitset blocks are live in
-    // the serialized L2.
+    // Feature's shared read-mostly lines, so overflow bitset blocks are
+    // live in the serialized L2 (Sobel's rows leave the pool empty).
     ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
                                       ArrivalPattern::Periodic, 3);
     cfg.platform = SprintConfig::parallelSprint(128, kSmallPcm);
+    cfg.kernel = KernelId::Feature;
     cfg.warm_caches = true;
     roundTripAndFinish(cfg, 1);
 }
@@ -546,6 +550,76 @@ TEST(CheckpointUnsupported, ForeignStreamTypeFailsTheSave)
     ScenarioCheckpoint ck = beginScenario(cfg);
     advanceScenario(cfg, ck, 1);
     EXPECT_NO_THROW(serializeCheckpoint(cfg, ck));
+}
+
+/** One fuzz seed: a configuration and a checkpoint blob taken under it. */
+struct FuzzSeed
+{
+    ScenarioConfig cfg;
+    std::vector<std::uint8_t> blob;
+};
+
+/**
+ * Advance @p cfg by @p advance tasks and seal the checkpoint. The
+ * caches shrink to 4 KB L1s and a 256 KB L2 so that a blob is ~0.1-0.3
+ * MB rather than 2 MB and thousands of cases fit in a few seconds.
+ */
+FuzzSeed
+fuzzSeedAt(ScenarioConfig cfg, std::uint64_t advance)
+{
+    cfg.platform.machine.l1_bytes = 4 * 1024;
+    cfg.platform.machine.l2.size_bytes = 256 * 1024;
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, advance);
+    std::vector<std::uint8_t> blob = serializeCheckpoint(cfg, ck);
+    return {std::move(cfg), std::move(blob)};
+}
+
+/**
+ * The decoder's seed corpus: a suspended mid-flight machine, a
+ * 128-core L2 with live overflow directory blocks, a warm cache chain,
+ * and surrogate models cut mid-calibration.
+ */
+std::vector<FuzzSeed>
+checkpointFuzzSeeds()
+{
+    std::vector<FuzzSeed> seeds;
+    seeds.push_back(fuzzSeedAt(preemptiveScenario(4), 2));
+
+    // Feature's shared reads overflow the four inline sharer slots.
+    ScenarioConfig many = baseScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Periodic, 3);
+    many.platform = SprintConfig::parallelSprint(128, kSmallPcm);
+    many.kernel = KernelId::Feature;
+    many.warm_caches = true;
+    seeds.push_back(fuzzSeedAt(many, 1));
+
+    ScenarioConfig warm = baseScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Periodic, 5);
+    warm.warm_caches = true;
+    seeds.push_back(fuzzSeedAt(warm, 2));
+
+    ScenarioConfig learn = baseScenario(SprintPolicyKind::GreedyActivity,
+                                        ArrivalPattern::BackToBack, 24);
+    learn.surrogate.tier = FidelityTier::Auto;
+    learn.surrogate.min_calibration = 4;
+    learn.surrogate.audit_period = 4.0;
+    seeds.push_back(fuzzSeedAt(learn, 2));
+    return seeds;
+}
+
+TEST(CheckpointFuzz, ResealedMutationsFailTyped)
+{
+    const std::vector<FuzzSeed> seeds = checkpointFuzzSeeds();
+    std::vector<std::vector<std::uint8_t>> blobs;
+    for (const FuzzSeed &s : seeds)
+        blobs.push_back(s.blob);
+    const fuzz::Report rep = fuzz::run(
+        "checkpoint", blobs, 1500, fuzz::corpusSeed(20261020ULL), false,
+        [&](std::size_t which, const std::vector<std::uint8_t> &blob) {
+            deserializeCheckpoint(seeds[which].cfg, blob);
+        });
+    EXPECT_GT(rep.rejected, 0);
 }
 
 } // namespace

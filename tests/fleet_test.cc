@@ -5,7 +5,8 @@
  * (seed, device index) alone, shard-range construction, mergeable
  * aggregates (exact counters, deterministic P² quantile merge that is
  * order-insensitive within an estimator tolerance), wire round-trips,
- * and a small in-process fleet sanity run. The cross-process parity
+ * re-sealed mutational fuzz of the spec and aggregate decoders
+ * (tests/blob_fuzz.hh), and a small in-process fleet sanity run. The cross-process parity
  * gates live in tests/fleet_fault_test.cc and
  * tests/differential_test.cc.
  */
@@ -14,10 +15,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "blob_fuzz.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/tempdir.hh"
@@ -265,6 +268,78 @@ TEST(FleetAggregatesTest, WireRoundTripIsBitExact)
     // cannot be folded in by mistake.
     EXPECT_THROW(deserializeFleetAggregates(blob, digest + 1),
                  CheckpointError);
+}
+
+TEST(FleetFuzz, ResealedSpecMutationsFailTyped)
+{
+    // A spec with a mixed class and a fault plan, as the parent hands
+    // it to every worker.
+    FaultPlan plan;
+    plan.faults.push_back({3, FaultKind::KillWorker, 2});
+    plan.faults.push_back({5, FaultKind::BitFlip, 1});
+    FleetOptions opts;
+    opts.checkpoint_every_tasks = 2;
+    opts.paranoia = true;
+    const std::vector<std::vector<std::uint8_t>> seeds = {
+        serializeFleetSpec(smallFleet(1234, 12), plan, opts)};
+    const fuzz::Report rep = fuzz::run(
+        "fleet spec", seeds, 20000, fuzz::corpusSeed(20261021ULL), true,
+        [](std::size_t, const std::vector<std::uint8_t> &blob) {
+            FleetSpec spec;
+            FaultPlan p;
+            FleetOptions o;
+            deserializeFleetSpec(blob, spec, p, o);
+        });
+    EXPECT_GT(rep.rejected, 0);
+}
+
+TEST(FleetFuzz, ResealedAggregateMutationsFailTyped)
+{
+    FleetAggregates agg;
+    Rng rng(9);
+    for (int i = 0; i < 40; ++i) {
+        ScenarioResult r;
+        r.tasks_completed = 3;
+        r.peak_junction = rng.uniform(40.0, 90.0);
+        ScenarioTaskResult t;
+        t.response = rng.uniform(1e-4, 1e-2);
+        r.tasks.push_back(t);
+        agg.foldDevice(r, 70.0);
+    }
+    const std::uint32_t digest = fleetSpecDigest(smallFleet(1234, 12));
+    const std::vector<std::vector<std::uint8_t>> seeds = {
+        serializeFleetAggregates(agg, digest)};
+    const fuzz::Report rep = fuzz::run(
+        "fleet aggregates", seeds, 20000, fuzz::corpusSeed(20261022ULL),
+        false, [digest](std::size_t, const std::vector<std::uint8_t> &blob) {
+            deserializeFleetAggregates(blob, digest);
+        });
+    EXPECT_GT(rep.rejected, 0);
+}
+
+TEST(FleetFuzz, OutOfRangeQuantileCountIsRejected)
+{
+    // Found by the aggregate fuzz: a flipped exponent bit turned the
+    // p50 count into 5.4e155, which restore() cast to size_t (UB).
+    FleetAggregates agg;
+    agg.response_p50.add(1e-3);
+    const std::uint32_t digest = 0x5eedu;
+    std::vector<std::uint8_t> payload =
+        fuzz::payloadOf(serializeFleetAggregates(agg, digest));
+    // u32 version, 11 u64 counters, 5 f64 sums, then the p50 state:
+    // the f64 quantile and the f64 count.
+    const std::size_t count_at = 4 + 11 * 8 + 5 * 8 + 8;
+    const double huge = 5.36312e155;
+    std::uint64_t bits;
+    std::memcpy(&bits, &huge, sizeof(bits));
+    fuzz::storeU64(payload, count_at, bits);
+    try {
+        deserializeFleetAggregates(
+            BlobContainer::seal(digest, std::move(payload)), digest);
+        FAIL() << "an out-of-range quantile count loaded";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt);
+    }
 }
 
 TEST(P2Merge, SmallMergesAreExact)
