@@ -17,6 +17,9 @@
  *
  * Doubles are bit-preserved via their IEEE-754 u64 image, so a
  * round-trip is byte-exact, NaN payloads and signed zeros included.
+ *
+ * Enc and Dec wrap the writer and the reader behind one set of calls,
+ * so a record's field list is written once and serves both directions.
  */
 
 #ifndef CSPRINT_COMMON_BLOB_HH
@@ -26,6 +29,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace csprint {
@@ -96,24 +100,6 @@ class BlobWriter
     {
         const auto *p = static_cast<const std::uint8_t *>(data);
         buf_.insert(buf_.end(), p, p + n);
-    }
-
-    template <typename T, typename Fn>
-    void vec(const std::vector<T> &v, Fn &&writeOne)
-    {
-        sz(v.size());
-        for (const T &x : v)
-            writeOne(*this, x);
-    }
-
-    void vecU64(const std::vector<std::uint64_t> &v)
-    {
-        vec(v, [](BlobWriter &w, std::uint64_t x) { w.u64(x); });
-    }
-
-    void vecF64(const std::vector<double> &v)
-    {
-        vec(v, [](BlobWriter &w, double x) { w.f64(x); });
     }
 
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
@@ -190,32 +176,16 @@ class BlobReader
     }
 
     /**
-     * Read a length-prefixed vector. @p elemBytes is the minimum
-     * serialized footprint of one element, used to reject a length
-     * field larger than the remaining input before reserving memory.
+     * Read the length prefix of a sequence whose elements each take at
+     * least @p elemBytes serialized bytes, rejecting a length larger
+     * than the remaining input before anything is reserved for it.
      */
-    template <typename T, typename Fn>
-    std::vector<T> vec(std::size_t elemBytes, Fn &&readOne)
+    std::size_t count(std::size_t elemBytes)
     {
         const std::size_t n = sz();
         if (elemBytes > 0 && n > (size_ - pos_) / elemBytes)
             fail("vector length exceeds remaining bytes");
-        std::vector<T> v;
-        v.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            v.push_back(readOne(*this));
-        return v;
-    }
-
-    std::vector<std::uint64_t> vecU64()
-    {
-        return vec<std::uint64_t>(8,
-                                  [](BlobReader &r) { return r.u64(); });
-    }
-
-    std::vector<double> vecF64()
-    {
-        return vec<double>(8, [](BlobReader &r) { return r.f64(); });
+        return n;
     }
 
     std::size_t remaining() const { return size_ - pos_; }
@@ -287,6 +257,159 @@ struct BlobContainer
      */
     static BlobReader open(const std::vector<std::uint8_t> &blob,
                            std::uint32_t expectConfigDigest);
+};
+
+// ----- One field list per record -----------------------------------------
+//
+// A record's byte layout is written once, as a function template over
+// the direction:
+//
+//   template <class Ar> void io(Ar &a, Ref<Ar, T> x)
+//   {
+//       a.u64(x.count);
+//       a.f64(x.mean);
+//       a.check(x.mean >= 0.0, "negative mean");
+//   }
+//
+// instantiated with Enc (append each field to a BlobWriter) and Dec
+// (overwrite each field from a BlobReader). Both expose the same calls,
+// so the two directions cannot drift apart, and each call inlines to
+// the BlobWriter/BlobReader call a hand-written pair would make. Ref
+// makes the record const on encode, so an encode can never modify the
+// state it saves. Decode-only work (a check whose message is built from
+// the data, objects rebuilt from the configuration, fix-ups after the
+// fields) sits in `if constexpr (Ar::kDecode)` blocks.
+
+/** The record type an archive works on: const when encoding. */
+template <class Ar, class T>
+using Ref = std::conditional_t<Ar::kDecode, T &, const T &>;
+
+/** Throw CheckpointError::Corrupt with @p what. */
+[[noreturn]] inline void
+corrupt(const std::string &what)
+{
+    throw CheckpointError(CheckpointError::Kind::Corrupt, what);
+}
+
+/** The encode direction: every call appends one field. */
+struct Enc
+{
+    static constexpr bool kDecode = false;
+
+    BlobWriter w;
+
+    void u8(std::uint8_t v) { w.u8(v); }
+    void u16(std::uint16_t v) { w.u16(v); }
+    void u32(std::uint32_t v) { w.u32(v); }
+    void u64(std::uint64_t v) { w.u64(v); }
+    void i16(std::int16_t v) { w.i16(v); }
+    void i64(std::int64_t v) { w.i64(v); }
+    void f64(double v) { w.f64(v); }
+    void boolean(bool v) { w.boolean(v); }
+    /** A length that decode bounds by the bytes remaining. */
+    void sz(std::size_t v) { w.sz(v); }
+    void str(const std::string &s) { w.str(s); }
+
+    /** An enum stored as a u8; decode rejects a value past @p last. */
+    template <class E>
+    void enumeration(E v, E, const char *)
+    {
+        w.u8(static_cast<std::uint8_t>(v));
+    }
+
+    /** A u64 the configuration fixes; decode rejects any other value. */
+    void expect(std::uint64_t v, const char *) { w.u64(v); }
+
+    /** A decoded-value check; nothing to check on encode. */
+    void check(bool, const char *) {}
+
+    /**
+     * A length-prefixed sequence; @p one(archive, element) lists one
+     * element's fields. @p elemBytes is the least an element occupies.
+     */
+    template <class T, class Fn>
+    void vec(const std::vector<T> &v, std::size_t, Fn &&one)
+    {
+        w.sz(v.size());
+        for (const T &x : v)
+            one(*this, x);
+    }
+
+    void vecU64(const std::vector<std::uint64_t> &v)
+    {
+        w.sz(v.size());
+        for (std::uint64_t x : v)
+            w.u64(x);
+    }
+
+    void vecF64(const std::vector<double> &v)
+    {
+        w.sz(v.size());
+        for (double x : v)
+            w.f64(x);
+    }
+};
+
+/** The decode direction: every call overwrites one field, validated. */
+struct Dec
+{
+    static constexpr bool kDecode = true;
+
+    BlobReader r;
+
+    template <class T> void u8(T &v) { v = static_cast<T>(r.u8()); }
+    template <class T> void u16(T &v) { v = static_cast<T>(r.u16()); }
+    template <class T> void u32(T &v) { v = static_cast<T>(r.u32()); }
+    template <class T> void u64(T &v) { v = static_cast<T>(r.u64()); }
+    template <class T> void i16(T &v) { v = static_cast<T>(r.i16()); }
+    template <class T> void i64(T &v) { v = static_cast<T>(r.i64()); }
+    void f64(double &v) { v = r.f64(); }
+    void boolean(bool &v) { v = r.boolean(); }
+    void sz(std::size_t &v) { v = r.sz(); }
+    void str(std::string &s) { s = r.str(); }
+
+    template <class E>
+    void enumeration(E &v, E last, const char *what)
+    {
+        const std::uint8_t x = r.u8();
+        if (x > static_cast<std::uint8_t>(last))
+            corrupt(what);
+        v = static_cast<E>(x);
+    }
+
+    void expect(std::uint64_t v, const char *what)
+    {
+        if (r.u64() != v)
+            corrupt(what);
+    }
+
+    void check(bool ok, const char *what)
+    {
+        if (!ok)
+            corrupt(what);
+    }
+
+    template <class T, class Fn>
+    void vec(std::vector<T> &v, std::size_t elemBytes, Fn &&one)
+    {
+        const std::size_t n = r.count(elemBytes);
+        v.clear();
+        v.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            v.emplace_back();
+            one(*this, v.back());
+        }
+    }
+
+    void vecU64(std::vector<std::uint64_t> &v)
+    {
+        vec(v, 8, [](Dec &d, std::uint64_t &x) { x = d.r.u64(); });
+    }
+
+    void vecF64(std::vector<double> &v)
+    {
+        vec(v, 8, [](Dec &d, double &x) { x = d.r.f64(); });
+    }
 };
 
 } // namespace csprint

@@ -20,12 +20,6 @@ namespace csprint {
 namespace {
 
 [[noreturn]] void
-corrupt(const std::string &what)
-{
-    throw CheckpointError(CheckpointError::Kind::Corrupt, what);
-}
-
-[[noreturn]] void
 unsupported(const std::string &what)
 {
     throw CheckpointError(CheckpointError::Kind::Unsupported, what);
@@ -40,455 +34,335 @@ invariant(const std::string &what)
 } // namespace
 
 /**
- * The single friend of every serializable type: static write/read
- * pairs that dump and overwrite private state field for field. Reads
+ * The single friend of every serializable type. Each record's byte
+ * layout is listed once, in a static io() template over the direction
+ * (Enc or Dec, common/blob.hh): encode appends the fields, decode
+ * overwrites private state field for field in the same order. Decodes
  * operate on objects already constructed from the ScenarioConfig (so
  * geometry and derived caches come from the config, not the blob) and
  * validate every index and mask that could otherwise be walked into
- * undefined behaviour.
+ * undefined behaviour. Op streams are the one explicit write/read
+ * pair: encode dispatches on the stream's type, decode rebuilds the
+ * stream from the phase's factory and checks the type it gets.
  */
 struct CheckpointIO
 {
     // ----- common/ ---------------------------------------------------
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const Rng &rng)
+    io(Ar &a, Ref<Ar, Rng> rng)
     {
-        for (int i = 0; i < 4; ++i)
-            w.u64(rng.s[i]);
+        for (auto &word : rng.s)
+            a.u64(word);
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, Rng &rng)
+    io(Ar &a, Ref<Ar, P2Quantile> q)
     {
-        for (int i = 0; i < 4; ++i)
-            rng.s[i] = r.u64();
+        a.f64(q.q_);
+        a.u64(q.n);
+        for (auto &v : q.height)
+            a.f64(v);
+        for (auto &v : q.pos)
+            a.f64(v);
+        for (auto &v : q.desired)
+            a.f64(v);
+        for (auto &v : q.rate)
+            a.f64(v);
     }
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const P2Quantile &q)
+    io(Ar &a, Ref<Ar, TimeSeries> ts)
     {
-        w.f64(q.q_);
-        w.u64(q.n);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.height[i]);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.pos[i]);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.desired[i]);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.rate[i]);
+        a.vecF64(ts.times);
+        a.vecF64(ts.values);
+        a.check(ts.times.size() == ts.values.size(),
+                "time series with mismatched time/value lengths");
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, P2Quantile &q)
+    io(Ar &a, Ref<Ar, DecimatingTrace> dt)
     {
-        q.q_ = r.f64();
-        q.n = static_cast<std::size_t>(r.u64());
-        for (int i = 0; i < 5; ++i)
-            q.height[i] = r.f64();
-        for (int i = 0; i < 5; ++i)
-            q.pos[i] = r.f64();
-        for (int i = 0; i < 5; ++i)
-            q.desired[i] = r.f64();
-        for (int i = 0; i < 5; ++i)
-            q.rate[i] = r.f64();
+        io(a, dt.ts);
+        a.u64(dt.cap);
+        a.u64(dt.stride_);
+        a.u64(dt.next_store_);
+        a.u64(dt.offered_);
+        a.check(dt.cap >= 2 && dt.stride_ != 0,
+                "decimating trace with degenerate capacity/stride");
     }
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const TimeSeries &ts)
+    io(Ar &a, Ref<Ar, MeltCycleCounter> mc)
     {
-        w.vecF64(ts.times);
-        w.vecF64(ts.values);
+        a.f64(mc.rise_);
+        a.f64(mc.fall_);
+        a.boolean(mc.molten_);
+        a.i64(mc.cycles_);
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, TimeSeries &ts)
+    io(Ar &a, Ref<Ar, ScenarioTraceSink> sink)
     {
-        ts.times = r.vecF64();
-        ts.values = r.vecF64();
-        if (ts.times.size() != ts.values.size())
-            corrupt("time series with mismatched time/value lengths");
-    }
-
-    static void
-    write(BlobWriter &w, const DecimatingTrace &dt)
-    {
-        write(w, dt.ts);
-        w.sz(dt.cap);
-        w.sz(dt.stride_);
-        w.sz(dt.next_store_);
-        w.sz(dt.offered_);
-    }
-
-    static void
-    read(BlobReader &r, DecimatingTrace &dt)
-    {
-        read(r, dt.ts);
-        dt.cap = static_cast<std::size_t>(r.u64());
-        dt.stride_ = static_cast<std::size_t>(r.u64());
-        dt.next_store_ = static_cast<std::size_t>(r.u64());
-        dt.offered_ = static_cast<std::size_t>(r.u64());
-        if (dt.cap < 2 || dt.stride_ == 0)
-            corrupt("decimating trace with degenerate capacity/stride");
-    }
-
-    static void
-    write(BlobWriter &w, const MeltCycleCounter &mc)
-    {
-        w.f64(mc.rise_);
-        w.f64(mc.fall_);
-        w.boolean(mc.molten_);
-        w.i64(mc.cycles_);
-    }
-
-    static void
-    read(BlobReader &r, MeltCycleCounter &mc)
-    {
-        mc.rise_ = r.f64();
-        mc.fall_ = r.f64();
-        mc.molten_ = r.boolean();
-        mc.cycles_ = static_cast<int>(r.i64());
-    }
-
-    static void
-    write(BlobWriter &w, const ScenarioTraceSink &sink)
-    {
-        w.u8(static_cast<std::uint8_t>(sink.mode_));
-        write(w, sink.junction_);
-        write(w, sink.power_);
-        write(w, sink.melt_);
-        write(w, sink.junction_ring_);
-        write(w, sink.power_ring_);
-        write(w, sink.melt_ring_);
-    }
-
-    static void
-    read(BlobReader &r, ScenarioTraceSink &sink)
-    {
-        const std::uint8_t mode = r.u8();
-        if (mode > static_cast<std::uint8_t>(TraceMode::Off))
-            corrupt("unknown trace-sink mode");
-        sink.mode_ = static_cast<TraceMode>(mode);
-        read(r, sink.junction_);
-        read(r, sink.power_);
-        read(r, sink.melt_);
-        read(r, sink.junction_ring_);
-        read(r, sink.power_ring_);
-        read(r, sink.melt_ring_);
+        a.enumeration(sink.mode_, TraceMode::Off, "unknown trace-sink mode");
+        io(a, sink.junction_);
+        io(a, sink.power_);
+        io(a, sink.melt_);
+        io(a, sink.junction_ring_);
+        io(a, sink.power_ring_);
+        io(a, sink.melt_ring_);
     }
 
     // ----- thermal / arrivals ---------------------------------------
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const ThermalNetworkState &st)
+    io(Ar &a, Ref<Ar, ThermalNetworkState> st)
     {
-        w.vecF64(st.temps);
-        w.vecF64(st.melt_fractions);
-        w.vecF64(st.injected);
+        a.vecF64(st.temps);
+        a.vecF64(st.melt_fractions);
+        a.vecF64(st.injected);
+        a.check(st.melt_fractions.size() == st.temps.size() &&
+                    st.injected.size() == st.temps.size(),
+                "thermal snapshot with mismatched node counts");
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, ThermalNetworkState &st)
+    io(Ar &a, Ref<Ar, ArrivalCursor> cur)
     {
-        st.temps = r.vecF64();
-        st.melt_fractions = r.vecF64();
-        st.injected = r.vecF64();
-        if (st.melt_fractions.size() != st.temps.size() ||
-            st.injected.size() != st.temps.size())
-            corrupt("thermal snapshot with mismatched node counts");
-    }
-
-    static void
-    write(BlobWriter &w, const ArrivalCursor &cur)
-    {
-        write(w, cur.rng);
-        w.f64(cur.poisson_clock);
-        w.u64(cur.index);
-    }
-
-    static void
-    read(BlobReader &r, ArrivalCursor &cur)
-    {
-        read(r, cur.rng);
-        cur.poisson_clock = r.f64();
-        cur.index = r.u64();
+        io(a, cur.rng);
+        a.f64(cur.poisson_clock);
+        a.u64(cur.index);
     }
 
     // ----- surrogate fidelity tier ----------------------------------
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const SurrogateClassModel &m)
+    io(Ar &a, Ref<Ar, SurrogateClassModel> m)
     {
-        w.u64(m.n);
-        w.f64(m.service_mean);
-        w.f64(m.service_m2);
-        w.f64(m.energy_mean);
-        w.f64(m.energy_m2);
-        w.f64(m.ewma_service);
-        w.f64(m.ewma_energy);
-        w.f64(m.ewma_sprint_time);
-        w.f64(m.ewma_sprint_energy);
-        w.f64(m.ewma_heat_time);
-        w.f64(m.ewma_heat_energy);
-        w.f64(m.exhausted_ewma);
-        w.f64(m.throttled_ewma);
-        write(w, m.service_p95);
-        w.u64(m.surrogate_runs);
-        w.u64(m.audits);
-        w.boolean(m.demoted);
-        w.f64(m.worst_audit_error);
+        a.u64(m.n);
+        a.f64(m.service_mean);
+        a.f64(m.service_m2);
+        a.f64(m.energy_mean);
+        a.f64(m.energy_m2);
+        a.f64(m.ewma_service);
+        a.f64(m.ewma_energy);
+        a.f64(m.ewma_sprint_time);
+        a.f64(m.ewma_sprint_energy);
+        a.f64(m.ewma_heat_time);
+        a.f64(m.ewma_heat_energy);
+        a.f64(m.exhausted_ewma);
+        a.f64(m.throttled_ewma);
+        io(a, m.service_p95);
+        a.u64(m.surrogate_runs);
+        a.u64(m.audits);
+        a.boolean(m.demoted);
+        a.f64(m.worst_audit_error);
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, SurrogateClassModel &m)
+    io(Ar &a, Ref<Ar, TaskSurrogate> s)
     {
-        m.n = r.u64();
-        m.service_mean = r.f64();
-        m.service_m2 = r.f64();
-        m.energy_mean = r.f64();
-        m.energy_m2 = r.f64();
-        m.ewma_service = r.f64();
-        m.ewma_energy = r.f64();
-        m.ewma_sprint_time = r.f64();
-        m.ewma_sprint_energy = r.f64();
-        m.ewma_heat_time = r.f64();
-        m.ewma_heat_energy = r.f64();
-        m.exhausted_ewma = r.f64();
-        m.throttled_ewma = r.f64();
-        read(r, m.service_p95);
-        m.surrogate_runs = r.u64();
-        m.audits = r.u64();
-        m.demoted = r.boolean();
-        m.worst_audit_error = r.f64();
-    }
-
-    static void
-    write(BlobWriter &w, const TaskSurrogate &s)
-    {
-        write(w, s.audit_rng_);
-        w.u64(s.surrogate_tasks_);
-        w.u64(s.audit_tasks_);
-        w.i64(s.demotions_);
-        w.sz(s.classes_.size());
-        for (const auto &entry : s.classes_) {
-            w.u32(entry.first);
-            write(w, entry.second);
-        }
-    }
-
-    static void
-    read(BlobReader &r, TaskSurrogate &s)
-    {
-        read(r, s.audit_rng_);
-        s.surrogate_tasks_ = r.u64();
-        s.audit_tasks_ = r.u64();
-        s.demotions_ = static_cast<int>(r.i64());
-        const std::size_t count = static_cast<std::size_t>(r.u64());
-        s.classes_.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint32_t key = r.u32();
-            // classKey packs (kernel << 8) | (size << 1) | sprinted.
-            if ((key >> 8) > static_cast<std::uint32_t>(
-                                 KernelId::Segment) ||
-                ((key >> 1) & 0x7fu) >
-                    static_cast<std::uint32_t>(InputSize::D))
-                corrupt("surrogate class key out of range");
-            if (s.classes_.count(key))
-                corrupt("duplicate surrogate class key");
-            read(r, s.classes_[key]);
+        io(a, s.audit_rng_);
+        a.u64(s.surrogate_tasks_);
+        a.u64(s.audit_tasks_);
+        a.i64(s.demotions_);
+        std::size_t count = s.classes_.size();
+        a.u64(count);
+        // (key, model) pairs: encode walks the map in key order,
+        // decode rebuilds it.
+        if constexpr (Ar::kDecode)
+            s.classes_.clear();
+        auto entry = s.classes_.begin();
+        for (std::size_t i = 0; i < count; ++i, ++entry) {
+            std::uint32_t key = 0;
+            if constexpr (!Ar::kDecode)
+                key = entry->first;
+            a.u32(key);
+            if constexpr (Ar::kDecode) {
+                // classKey packs (kernel << 8) | (size << 1) | sprinted.
+                if ((key >> 8) > static_cast<std::uint32_t>(
+                                     KernelId::Segment) ||
+                    ((key >> 1) & 0x7fu) >
+                        static_cast<std::uint32_t>(InputSize::D))
+                    corrupt("surrogate class key out of range");
+                if (s.classes_.count(key))
+                    corrupt("duplicate surrogate class key");
+                entry = s.classes_.emplace(key, SurrogateClassModel()).first;
+            }
+            io(a, entry->second);
         }
     }
 
     // ----- caches / memory / energy ---------------------------------
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const CacheStats &st)
+    io(Ar &a, Ref<Ar, CacheStats> st)
     {
-        w.u64(st.hits);
-        w.u64(st.misses);
-        w.u64(st.evictions);
-        w.u64(st.dirty_evictions);
-        w.u64(st.invalidations);
+        a.u64(st.hits);
+        a.u64(st.misses);
+        a.u64(st.evictions);
+        a.u64(st.dirty_evictions);
+        a.u64(st.invalidations);
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, CacheStats &st)
+    io(Ar &a, Ref<Ar, Cache> c)
     {
-        st.hits = r.u64();
-        st.misses = r.u64();
-        st.evictions = r.u64();
-        st.dirty_evictions = r.u64();
-        st.invalidations = r.u64();
-    }
-
-    static void
-    write(BlobWriter &w, const Cache &c)
-    {
-        w.sz(c.sets);
-        w.i64(c.ways);
-        w.vecU64(c.tags);
-        w.sz(c.meta.size());
-        for (const Cache::SetMeta &m : c.meta) {
-            w.u64(m.order);
-            w.u16(m.valid);
-            w.u16(m.dirty);
-        }
-        write(w, c.counters);
-    }
-
-    static void
-    read(BlobReader &r, Cache &c)
-    {
-        const std::size_t sets = static_cast<std::size_t>(r.u64());
-        const int ways = static_cast<int>(r.i64());
-        if (sets != c.sets || ways != c.ways)
-            corrupt("cache geometry differs from the configuration");
-        c.tags = r.vecU64();
-        if (c.tags.size() != sets * static_cast<std::size_t>(ways))
-            corrupt("cache tag array size mismatch");
-        const std::size_t nmeta = r.sz();
-        if (nmeta != sets)
-            corrupt("cache metadata size mismatch");
+        std::size_t sets = c.sets;
+        int ways = c.ways;
+        a.u64(sets);
+        a.i64(ways);
+        a.check(sets == c.sets && ways == c.ways,
+                "cache geometry differs from the configuration");
+        a.vecU64(c.tags);
+        a.check(c.tags.size() == sets * static_cast<std::size_t>(ways),
+                "cache tag array size mismatch");
+        std::size_t nmeta = c.meta.size();
+        a.sz(nmeta);
+        a.check(nmeta == sets, "cache metadata size mismatch");
         const std::uint16_t way_mask = static_cast<std::uint16_t>(
             ways >= 16 ? 0xFFFFu : ((1u << ways) - 1u));
         for (std::size_t s = 0; s < nmeta; ++s) {
-            Cache::SetMeta &m = c.meta[s];
-            m.order = r.u64();
-            m.valid = r.u16();
-            m.dirty = r.u16();
-            m.pad = 0;
-            if ((m.valid & ~way_mask) != 0 || (m.dirty & ~m.valid) != 0)
-                corrupt("cache set " + std::to_string(s) +
-                        " has invalid way masks");
-            // The recency word must hold each way id exactly once
-            // (touch() relies on it to terminate its nibble scan).
-            unsigned seen = 0;
-            for (int p = 0; p < 16; ++p)
-                seen |= 1u << ((m.order >> (4 * p)) & 0xF);
-            if (seen != 0xFFFFu)
-                corrupt("cache set " + std::to_string(s) +
-                        " has a non-permutation recency word");
-        }
-        read(r, c.counters);
-        // The MRU shortcut is a pure hint; start it cold.
-        c.hint_set = 0;
-        c.hint_way = 0;
-        c.hint_line = ~std::uint64_t(0);
-    }
-
-    static void
-    writeCoreSet(BlobWriter &w, const CoreSet &s)
-    {
-        w.i64(s.capacity());
-        w.i64(s.count());
-        s.forEach([&w](int c) { w.i64(c); });
-    }
-
-    static void
-    readCoreSet(BlobReader &r, CoreSet &s, int expect_capacity)
-    {
-        const std::int64_t cap = r.i64();
-        const std::int64_t n = r.i64();
-        if (cap != expect_capacity)
-            corrupt("core-set capacity differs from the configuration");
-        if (n < 0 || n > cap)
-            corrupt("core-set member count out of range");
-        s.resize(expect_capacity);
-        std::int64_t prev = -1;
-        for (std::int64_t i = 0; i < n; ++i) {
-            const std::int64_t c = r.i64();
-            if (c <= prev || c >= cap)
-                corrupt("core-set members not strictly ascending in "
-                        "range");
-            s.add(static_cast<int>(c));
-            prev = c;
-        }
-    }
-
-    static void
-    write(BlobWriter &w, const L2Stats &st)
-    {
-        w.u64(st.hits);
-        w.u64(st.misses);
-        w.u64(st.invalidations_sent);
-        w.u64(st.downgrades_sent);
-        w.u64(st.inclusion_recalls);
-        w.u64(st.writebacks_received);
-        w.u64(st.directory_spills);
-    }
-
-    static void
-    read(BlobReader &r, L2Stats &st)
-    {
-        st.hits = r.u64();
-        st.misses = r.u64();
-        st.invalidations_sent = r.u64();
-        st.downgrades_sent = r.u64();
-        st.inclusion_recalls = r.u64();
-        st.writebacks_received = r.u64();
-        st.directory_spills = r.u64();
-    }
-
-    static void
-    write(BlobWriter &w, const SharedL2 &l2)
-    {
-        write(w, l2.tags);
-        w.sz(l2.dir.size());
-        for (const SharedL2::DirEntry &e : l2.dir) {
-            for (int i = 0; i < SharedL2::kInlineSharers; ++i)
-                w.i16(e.ptr[i]);
-            w.i16(e.dirty_owner);
-            w.u8(e.nptr);
-            w.boolean(e.overflow);
-            w.boolean(e.l2_dirty);
-            w.u32(e.ovf);
-        }
-        w.vecU64(l2.pool);
-        w.vec(l2.pool_free,
-              [](BlobWriter &w2, std::uint32_t v) { w2.u32(v); });
-        writeCoreSet(w, l2.l1_mutations);
-        write(w, l2.counters);
-    }
-
-    static void
-    read(BlobReader &r, SharedL2 &l2)
-    {
-        read(r, l2.tags);
-        const std::size_t nd = r.sz();
-        if (nd != l2.dir.size())
-            corrupt("directory size differs from the tag store");
-        for (SharedL2::DirEntry &e : l2.dir) {
-            for (int i = 0; i < SharedL2::kInlineSharers; ++i)
-                e.ptr[i] = r.i16();
-            e.dirty_owner = r.i16();
-            e.nptr = r.u8();
-            e.overflow = r.boolean();
-            e.l2_dirty = r.boolean();
-            e.ovf = r.u32();
-            if (e.nptr > SharedL2::kInlineSharers)
-                corrupt("directory entry with too many inline sharers");
-            if (e.dirty_owner < -1 || e.dirty_owner >= l2.num_cores)
-                corrupt("directory dirty owner out of range");
-            if (!e.overflow) {
-                for (int i = 0; i < e.nptr; ++i) {
-                    if (e.ptr[i] < 0 || e.ptr[i] >= l2.num_cores)
-                        corrupt("inline sharer id out of range");
-                }
+            auto &m = c.meta[s];
+            a.u64(m.order);
+            a.u16(m.valid);
+            a.u16(m.dirty);
+            if constexpr (Ar::kDecode) {
+                m.pad = 0;
+                if ((m.valid & ~way_mask) != 0 ||
+                    (m.dirty & ~m.valid) != 0)
+                    corrupt("cache set " + std::to_string(s) +
+                            " has invalid way masks");
+                // The recency word must hold each way id exactly once
+                // (touch() relies on it to terminate its nibble scan).
+                unsigned seen = 0;
+                for (int p = 0; p < 16; ++p)
+                    seen |= 1u << ((m.order >> (4 * p)) & 0xF);
+                if (seen != 0xFFFFu)
+                    corrupt("cache set " + std::to_string(s) +
+                            " has a non-permutation recency word");
             }
         }
-        l2.pool = r.vecU64();
+        io(a, c.counters);
+        if constexpr (Ar::kDecode) {
+            // The MRU shortcut is a pure hint; start it cold.
+            c.hint_set = 0;
+            c.hint_way = 0;
+            c.hint_line = ~std::uint64_t(0);
+        }
+    }
+
+    /** Capacity, count, then the members in ascending order. */
+    template <class Ar>
+    static void
+    io(Ar &a, Ref<Ar, CoreSet> s, int capacity)
+    {
+        std::int64_t cap = s.capacity();
+        std::int64_t n = s.count();
+        a.i64(cap);
+        a.i64(n);
+        a.check(cap == capacity,
+                "core-set capacity differs from the configuration");
+        a.check(n >= 0 && n <= cap, "core-set member count out of range");
+        if constexpr (Ar::kDecode) {
+            s.resize(capacity);
+            std::int64_t prev = -1;
+            for (std::int64_t i = 0; i < n; ++i) {
+                std::int64_t c = 0;
+                a.i64(c);
+                if (c <= prev || c >= cap)
+                    corrupt("core-set members not strictly ascending in "
+                            "range");
+                s.add(static_cast<int>(c));
+                prev = c;
+            }
+        } else {
+            s.forEach([&a](int c) { a.i64(c); });
+        }
+    }
+
+    template <class Ar>
+    static void
+    io(Ar &a, Ref<Ar, L2Stats> st)
+    {
+        a.u64(st.hits);
+        a.u64(st.misses);
+        a.u64(st.invalidations_sent);
+        a.u64(st.downgrades_sent);
+        a.u64(st.inclusion_recalls);
+        a.u64(st.writebacks_received);
+        a.u64(st.directory_spills);
+    }
+
+    template <class Ar>
+    static void
+    io(Ar &a, Ref<Ar, SharedL2> l2)
+    {
+        io(a, l2.tags);
+        std::size_t nd = l2.dir.size();
+        a.sz(nd);
+        a.check(nd == l2.dir.size(),
+                "directory size differs from the tag store");
+        for (auto &e : l2.dir) {
+            for (auto &p : e.ptr)
+                a.i16(p);
+            a.i16(e.dirty_owner);
+            a.u8(e.nptr);
+            a.boolean(e.overflow);
+            a.boolean(e.l2_dirty);
+            a.u32(e.ovf);
+            a.check(e.nptr <= SharedL2::kInlineSharers,
+                    "directory entry with too many inline sharers");
+            a.check(e.dirty_owner >= -1 && e.dirty_owner < l2.num_cores,
+                    "directory dirty owner out of range");
+            if constexpr (Ar::kDecode) {
+                for (int i = 0; i < e.nptr && !e.overflow; ++i)
+                    if (e.ptr[i] < 0 || e.ptr[i] >= l2.num_cores)
+                        corrupt("inline sharer id out of range");
+            }
+        }
+        a.vecU64(l2.pool);
         const std::size_t wpb = l2.words_per_block;
-        if (wpb == 0 ? !l2.pool.empty() : l2.pool.size() % wpb != 0)
-            corrupt("overflow pool size not a whole number of blocks");
+        a.check(wpb == 0 ? l2.pool.empty() : l2.pool.size() % wpb == 0,
+                "overflow pool size not a whole number of blocks");
         const std::size_t blocks = wpb ? l2.pool.size() / wpb : 0;
+        if constexpr (Ar::kDecode)
+            checkOverflowBlocks(l2, blocks);
+        a.vec(l2.pool_free, 4, [blocks](auto &a2, auto &b) {
+            a2.u32(b);
+            a2.check(b < blocks,
+                     "recycled overflow block index out of range");
+        });
+        io(a, l2.l1_mutations, l2.num_cores);
+        io(a, l2.counters);
+    }
+
+    /**
+     * Every overflowed directory entry must key a pool block, and no
+     * sharer bit may sit at or beyond the core count: either would
+     * index past the pool or the L1 array during coherence actions.
+     */
+    static void
+    checkOverflowBlocks(const SharedL2 &l2, std::size_t blocks)
+    {
+        const std::size_t wpb = l2.words_per_block;
         for (const SharedL2::DirEntry &e : l2.dir) {
             if (!e.overflow)
                 continue;
             if (e.ovf >= blocks)
                 corrupt("overflow block index out of range");
-            // Stray sharer bits at or beyond the core count would
-            // index past the L1 array during coherence actions.
             const std::uint64_t *words =
                 &l2.pool[static_cast<std::size_t>(e.ovf) * wpb];
             for (std::size_t wd = 0; wd < wpb; ++wd) {
@@ -504,112 +378,65 @@ struct CheckpointIO
                     corrupt("overflow sharer bit beyond the core count");
             }
         }
-        l2.pool_free = r.vec<std::uint32_t>(
-            4, [](BlobReader &r2) { return r2.u32(); });
-        for (std::uint32_t b : l2.pool_free) {
-            if (b >= blocks)
-                corrupt("recycled overflow block index out of range");
-        }
-        readCoreSet(r, l2.l1_mutations, l2.num_cores);
-        read(r, l2.counters);
     }
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const MemorySystem &mem)
+    io(Ar &a, Ref<Ar, MemorySystem> mem)
     {
-        w.f64(mem.mult);
-        w.vecF64(mem.next_free);
-        w.u64(mem.counters.reads);
-        w.u64(mem.counters.writebacks);
-        w.u64(mem.counters.queued_cycles);
+        a.f64(mem.mult);
+        a.check(mem.mult > 0.0 && std::isfinite(mem.mult),
+                "memory frequency multiplier not positive");
+        a.vecF64(mem.next_free);
+        a.check(mem.next_free.size() ==
+                    static_cast<std::size_t>(mem.cfg.channels),
+                "memory channel count differs from the configuration");
+        a.u64(mem.counters.reads);
+        a.u64(mem.counters.writebacks);
+        a.u64(mem.counters.queued_cycles);
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, MemorySystem &mem)
+    io(Ar &a, Ref<Ar, InstructionEnergyModel> em)
     {
-        mem.mult = r.f64();
-        if (!(mem.mult > 0.0) || !std::isfinite(mem.mult))
-            corrupt("memory frequency multiplier not positive");
-        mem.next_free = r.vecF64();
-        if (mem.next_free.size() !=
-            static_cast<std::size_t>(mem.cfg.channels))
-            corrupt("memory channel count differs from the "
-                    "configuration");
-        mem.counters.reads = r.u64();
-        mem.counters.writebacks = r.u64();
-        mem.counters.queued_cycles = r.u64();
-    }
-
-    static void
-    write(BlobWriter &w, const InstructionEnergyModel &em)
-    {
-        w.i64(em.params.node_nm);
-        w.f64(em.params.vdd);
-        w.f64(em.params.clock);
-        w.f64(em.params.cap_scale);
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            w.f64(em.op_energy[i]);
-        w.f64(em.l2_energy);
-        w.f64(em.dram_energy);
-        w.f64(em.idle_energy);
-        w.f64(em.nominal_cycle);
-    }
-
-    static void
-    read(BlobReader &r, InstructionEnergyModel &em)
-    {
-        em.params.node_nm = static_cast<int>(r.i64());
-        em.params.vdd = r.f64();
-        em.params.clock = r.f64();
-        em.params.cap_scale = r.f64();
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            em.op_energy[i] = r.f64();
-        em.l2_energy = r.f64();
-        em.dram_energy = r.f64();
-        em.idle_energy = r.f64();
-        em.nominal_cycle = r.f64();
+        a.i64(em.params.node_nm);
+        a.f64(em.params.vdd);
+        a.f64(em.params.clock);
+        a.f64(em.params.cap_scale);
+        for (auto &e : em.op_energy)
+            a.f64(e);
+        a.f64(em.l2_energy);
+        a.f64(em.dram_energy);
+        a.f64(em.idle_energy);
+        a.f64(em.nominal_cycle);
     }
 
     // ----- machine ---------------------------------------------------
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const MachineStats &st)
+    io(Ar &a, Ref<Ar, MachineStats> st)
     {
-        w.u64(st.cycles);
-        w.f64(st.seconds);
-        w.u64(st.ops_retired);
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            w.u64(st.ops_by_kind[i]);
-        w.u64(st.l1_hits);
-        w.u64(st.l1_misses);
-        w.u64(st.idle_cycles);
-        w.u64(st.sleep_cycles);
-        w.u64(st.barrier_arrivals);
-        w.f64(st.dynamic_energy);
+        a.u64(st.cycles);
+        a.f64(st.seconds);
+        a.u64(st.ops_retired);
+        for (auto &n : st.ops_by_kind)
+            a.u64(n);
+        a.u64(st.l1_hits);
+        a.u64(st.l1_misses);
+        a.u64(st.idle_cycles);
+        a.u64(st.sleep_cycles);
+        a.u64(st.barrier_arrivals);
+        a.f64(st.dynamic_energy);
     }
 
     static void
-    read(BlobReader &r, MachineStats &st)
-    {
-        st.cycles = r.u64();
-        st.seconds = r.f64();
-        st.ops_retired = r.u64();
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            st.ops_by_kind[i] = r.u64();
-        st.l1_hits = r.u64();
-        st.l1_misses = r.u64();
-        st.idle_cycles = r.u64();
-        st.sleep_cycles = r.u64();
-        st.barrier_arrivals = r.u64();
-        st.dynamic_energy = r.f64();
-    }
-
-    static void
-    writeStream(BlobWriter &w, const OpStream &s)
+    writeStream(Enc &e, const OpStream &s)
     {
         if (const auto *v = dynamic_cast<const VectorOpStream *>(&s)) {
-            w.u8(0);
-            w.sz(v->pos);
+            e.u8(0);
+            e.sz(v->pos);
             return;
         }
         if (const auto *c = dynamic_cast<const ChunkedOpStream *>(&s)) {
@@ -617,26 +444,26 @@ struct CheckpointIO
                 unsupported("chunked op stream holds an undrained "
                             "buffer (machine not at a bulk-refill "
                             "boundary)");
-            w.u8(1);
-            w.sz(c->next_chunk);
+            e.u8(1);
+            e.sz(c->next_chunk);
             return;
         }
         unsupported("custom OpStream type cannot be checkpointed");
     }
 
     static std::unique_ptr<OpStream>
-    readStream(BlobReader &r, const Phase &phase, std::size_t task)
+    readStream(Dec &d, const Phase &phase, std::size_t task)
     {
         if (phase.make_task == nullptr || task >= phase.num_tasks)
             corrupt("stream task index out of range for the phase");
         std::unique_ptr<OpStream> s = phase.make_task(task);
-        const std::uint8_t type = r.u8();
+        const std::uint8_t type = d.r.u8();
         if (type == 0) {
             auto *v = dynamic_cast<VectorOpStream *>(s.get());
             if (!v)
                 corrupt("blob says vector stream; factory built "
                         "another type");
-            const std::size_t pos = static_cast<std::size_t>(r.u64());
+            const std::size_t pos = static_cast<std::size_t>(d.r.u64());
             if (pos > v->ops.size())
                 corrupt("vector stream cursor past the end");
             v->pos = pos;
@@ -645,7 +472,7 @@ struct CheckpointIO
             if (!c)
                 corrupt("blob says chunked stream; factory built "
                         "another type");
-            const std::size_t next = static_cast<std::size_t>(r.u64());
+            const std::size_t next = static_cast<std::size_t>(d.r.u64());
             if (next > c->num_chunks)
                 corrupt("chunked stream cursor past the last chunk");
             // Replay the consumed chunks in order so stateful
@@ -678,429 +505,342 @@ struct CheckpointIO
             unsupported("machine holds unpriced energy tallies");
     }
 
+    /** The cache chain and memory channels: all warmStartFrom() reads. */
+    template <class Ar>
     static void
-    write(BlobWriter &w, const Machine &m)
+    ioMemorySide(Ar &a, Ref<Ar, Machine> m, const char *l1_count_what)
     {
-        requireSuspendedBoundary(m);
-        w.u64(m.cycle);
-        w.f64(m.freq_mult);
-        w.f64(m.time_base);
-        w.u64(m.cycle_base);
-        w.sz(m.phase_idx);
-        w.sz(m.serial_next_task);
-        w.sz(m.dynamic_next_task);
-        w.u64(m.dequeue_free_at);
-        w.sz(m.barrier_count);
-        w.i64(m.active_cores);
-        w.boolean(m.mem_batch_ok);
-        write(w, m.cfg.energy);
-        write(w, m.totals);
-        w.vec(m.locks, [](BlobWriter &w2, const Machine::LockState &l) {
-            w2.i64(l.holder);
+        a.expect(m.l1s.size(), l1_count_what);
+        for (auto &c : m.l1s)
+            io(a, c);
+        io(a, *m.l2);
+        io(a, *m.memory);
+    }
+
+    /**
+     * A machine suspended at a sample boundary. Decode overwrites a
+     * machine freshly built for the same program and configuration.
+     */
+    template <class Ar>
+    static void
+    io(Ar &a, Ref<Ar, Machine> m)
+    {
+        if constexpr (!Ar::kDecode)
+            requireSuspendedBoundary(m);
+        const std::size_t nthreads = m.threads.size();
+        a.u64(m.cycle);
+        a.f64(m.freq_mult);
+        a.check(m.freq_mult > 0.0 && std::isfinite(m.freq_mult),
+                "machine frequency multiplier not positive");
+        a.f64(m.time_base);
+        a.u64(m.cycle_base);
+        a.u64(m.phase_idx);
+        a.check(m.phase_idx <= m.program.phases().size(),
+                "phase index out of range");
+        a.u64(m.serial_next_task);
+        a.u64(m.dynamic_next_task);
+        a.u64(m.dequeue_free_at);
+        a.u64(m.barrier_count);
+        std::int64_t active = m.active_cores;
+        a.i64(active);
+        a.check(active >= 0 &&
+                    active <= static_cast<std::int64_t>(m.cores.size()),
+                "active core count out of range");
+        if constexpr (Ar::kDecode)
+            m.active_cores = static_cast<int>(active);
+        a.boolean(m.mem_batch_ok);
+        io(a, m.cfg.energy);
+        io(a, m.totals);
+        a.vec(m.locks, 8, [nthreads](auto &a2, auto &l) {
+            a2.i64(l.holder);
+            a2.check(l.holder >= -1 &&
+                         l.holder < static_cast<int>(nthreads),
+                     "lock holder out of range");
         });
-        w.sz(m.threads.size());
-        for (const Machine::Thread &t : m.threads) {
+        a.expect(nthreads, "thread count differs from the configuration");
+        for (auto &t : m.threads) {
             // A thread parked at a barrier may still hold the stream
             // of its last task; enterPhase resets it before it is
             // ever read again, so canonicalize it away.
-            const bool has_stream =
-                t.stream != nullptr && !t.at_barrier;
-            w.boolean(has_stream);
+            bool has_stream = t.stream != nullptr && !t.at_barrier;
+            a.boolean(has_stream);
             if (has_stream) {
-                w.sz(t.current_task);
-                writeStream(w, *t.stream);
-            }
-            w.boolean(t.at_barrier);
-            w.u64(t.sleep_until);
-            w.i64(t.spin_failures);
-            w.sz(t.next_task);
-            w.sz(t.task_end);
-            // Only the pending window of the bulk op buffer matters.
-            w.sz(t.buf_len - t.buf_pos);
-            for (std::size_t i = t.buf_pos; i < t.buf_len; ++i)
-                w.u64(t.buf[i].bits);
-        }
-        w.sz(m.cores.size());
-        for (const Machine::Core &c : m.cores) {
-            w.boolean(c.active);
-            w.vec(c.run_queue,
-                  [](BlobWriter &w2, std::size_t v) { w2.sz(v); });
-            w.sz(c.rr);
-            w.i64(c.current);
-            w.u64(c.busy_until);
-            w.u64(c.quantum_end);
-            w.boolean(c.idle_repeat);
-            w.u64(c.idle_from);
-        }
-        w.sz(m.next_event.size());
-        for (Cycles ev : m.next_event)
-            w.u64(ev);
-        w.sz(m.l1s.size());
-        for (const Cache &c : m.l1s)
-            write(w, c);
-        write(w, *m.l2);
-        write(w, *m.memory);
-    }
-
-    static void
-    read(BlobReader &r, Machine &m, const ParallelProgram &program)
-    {
-        m.cycle = r.u64();
-        m.freq_mult = r.f64();
-        if (!(m.freq_mult > 0.0) || !std::isfinite(m.freq_mult))
-            corrupt("machine frequency multiplier not positive");
-        m.time_base = r.f64();
-        m.cycle_base = r.u64();
-        m.phase_idx = static_cast<std::size_t>(r.u64());
-        if (m.phase_idx > program.phases().size())
-            corrupt("phase index out of range");
-        m.serial_next_task = static_cast<std::size_t>(r.u64());
-        m.dynamic_next_task = static_cast<std::size_t>(r.u64());
-        m.dequeue_free_at = r.u64();
-        m.barrier_count = static_cast<std::size_t>(r.u64());
-        const std::int64_t active = r.i64();
-        if (active < 0 ||
-            active > static_cast<std::int64_t>(m.cores.size()))
-            corrupt("active core count out of range");
-        m.active_cores = static_cast<int>(active);
-        m.mem_batch_ok = r.boolean();
-        read(r, m.cfg.energy);
-        read(r, m.totals);
-        m.locks = r.vec<Machine::LockState>(8, [&m](BlobReader &r2) {
-            Machine::LockState l;
-            l.holder = static_cast<int>(r2.i64());
-            if (l.holder < -1 ||
-                l.holder >= static_cast<int>(m.threads.size()))
-                corrupt("lock holder out of range");
-            return l;
-        });
-        const std::size_t nt = r.u64();
-        if (nt != m.threads.size())
-            corrupt("thread count differs from the configuration");
-        for (Machine::Thread &t : m.threads) {
-            const bool has_stream = r.boolean();
-            if (has_stream) {
-                t.current_task = static_cast<std::size_t>(r.u64());
-                if (m.phase_idx >= program.phases().size())
-                    corrupt("live stream in a finished machine");
-                t.stream = readStream(
-                    r, program.phases()[m.phase_idx], t.current_task);
-            } else {
+                a.u64(t.current_task);
+                if constexpr (Ar::kDecode) {
+                    if (m.phase_idx >= m.program.phases().size())
+                        corrupt("live stream in a finished machine");
+                    t.stream = readStream(
+                        a, m.program.phases()[m.phase_idx],
+                        t.current_task);
+                } else {
+                    writeStream(a, *t.stream);
+                }
+            } else if constexpr (Ar::kDecode) {
                 t.stream.reset();
                 t.current_task = 0;
             }
-            t.at_barrier = r.boolean();
-            t.sleep_until = r.u64();
-            t.spin_failures = static_cast<int>(r.i64());
-            t.next_task = static_cast<std::size_t>(r.u64());
-            t.task_end = static_cast<std::size_t>(r.u64());
-            // The window can exceed kOpBufferCap: a chunked stream's
-            // fillInto swaps whole chunks into the thread buffer.
-            // Bound it by the bytes actually present (8 per op).
-            const std::size_t n = static_cast<std::size_t>(r.u64());
-            if (n > r.remaining() / 8)
-                corrupt("op window larger than the remaining bytes");
-            if (t.buf.size() < n)
-                t.buf.resize(n);
-            for (std::size_t i = 0; i < n; ++i)
-                t.buf[i].bits = r.u64();
-            t.buf_pos = 0;
-            t.buf_len = n;
+            a.boolean(t.at_barrier);
+            a.u64(t.sleep_until);
+            a.i64(t.spin_failures);
+            a.u64(t.next_task);
+            a.u64(t.task_end);
+            // Only the pending window of the bulk op buffer matters.
+            std::size_t window = t.buf_len - t.buf_pos;
+            a.u64(window);
+            if constexpr (Ar::kDecode) {
+                // The window can exceed kOpBufferCap: a chunked
+                // stream's fillInto swaps whole chunks into the thread
+                // buffer. Bound it by the bytes present (8 per op).
+                if (window > a.r.remaining() / 8)
+                    corrupt("op window larger than the remaining bytes");
+                if (t.buf.size() < window)
+                    t.buf.resize(window);
+                t.buf_pos = 0;
+                t.buf_len = window;
+            }
+            for (std::size_t i = t.buf_pos; i < t.buf_len; ++i)
+                a.u64(t.buf[i].bits);
         }
-        const std::size_t nc = r.u64();
-        if (nc != m.cores.size())
-            corrupt("core count differs from the configuration");
-        for (Machine::Core &c : m.cores) {
-            c.active = r.boolean();
-            c.run_queue = r.vec<std::size_t>(8, [&m](BlobReader &r2) {
-                const std::uint64_t v = r2.u64();
-                if (v >= m.threads.size())
-                    corrupt("run-queue thread id out of range");
-                return static_cast<std::size_t>(v);
+        a.expect(m.cores.size(), "core count differs from the configuration");
+        for (auto &c : m.cores) {
+            a.boolean(c.active);
+            a.vec(c.run_queue, 8, [nthreads](auto &a2, auto &v) {
+                a2.u64(v);
+                a2.check(v < nthreads, "run-queue thread id out of range");
             });
-            c.rr = static_cast<std::size_t>(r.u64());
-            if (!c.run_queue.empty() && c.rr >= c.run_queue.size())
-                corrupt("round-robin cursor out of range");
-            const std::int64_t cur = r.i64();
-            if (cur < -1 ||
-                cur >= static_cast<std::int64_t>(m.threads.size()))
-                corrupt("current thread id out of range");
-            c.current = static_cast<int>(cur);
-            c.busy_until = r.u64();
-            c.quantum_end = r.u64();
-            c.idle_repeat = r.boolean();
-            c.idle_from = r.u64();
+            a.u64(c.rr);
+            a.check(c.run_queue.empty() || c.rr < c.run_queue.size(),
+                    "round-robin cursor out of range");
+            std::int64_t cur = c.current;
+            a.i64(cur);
+            a.check(cur >= -1 && cur < static_cast<std::int64_t>(nthreads),
+                    "current thread id out of range");
+            if constexpr (Ar::kDecode)
+                c.current = static_cast<int>(cur);
+            a.u64(c.busy_until);
+            a.u64(c.quantum_end);
+            a.boolean(c.idle_repeat);
+            a.u64(c.idle_from);
         }
-        const std::size_t nev = r.u64();
-        if (nev != m.next_event.size())
-            corrupt("next-event array size mismatch");
-        for (std::size_t i = 0; i < nev; ++i)
-            m.next_event[i] = r.u64();
-        const std::size_t nl1 = r.u64();
-        if (nl1 != m.l1s.size())
-            corrupt("L1 count differs from the configuration");
-        for (Cache &c : m.l1s)
-            read(r, c);
-        read(r, *m.l2);
-        read(r, *m.memory);
+        a.expect(m.next_event.size(), "next-event array size mismatch");
+        for (auto &ev : m.next_event)
+            a.u64(ev);
+        ioMemorySide(a, m, "L1 count differs from the configuration");
 
-        // Derived and transient state: stride probes are pure
-        // lookahead (outcome-invariant), so they restart cold; the
-        // scan cache re-derives from next_event with probes zeroed.
-        for (std::size_t c = 0; c < m.cores.size(); ++c) {
-            m.resetProbe(m.cores[c]);
-            m.refreshScanCache(c);
+        if constexpr (Ar::kDecode) {
+            // Derived and transient state: stride probes are pure
+            // lookahead (outcome-invariant), so they restart cold; the
+            // scan cache re-derives from next_event with probes zeroed.
+            for (std::size_t c = 0; c < m.cores.size(); ++c) {
+                m.resetProbe(m.cores[c]);
+                m.refreshScanCache(c);
+            }
+            m.events_dirty = false;
+            m.aborted = false;
+            m.suspend_pending = false;
+            m.was_suspended = true;
+            m.tally = Machine::EnergyTally();
+            m.energy_at_last_sample = m.totals.dynamic_energy;
         }
-        m.events_dirty = false;
-        m.aborted = false;
-        m.suspend_pending = false;
-        m.was_suspended = true;
-        m.tally = Machine::EnergyTally();
-        m.energy_at_last_sample = m.totals.dynamic_energy;
-    }
-
-    // ----- warm re-activation husk ----------------------------------
-
-    /**
-     * The warm machine only ever feeds warmStartFrom(), which reads
-     * the cache geometry, L1/L2/directory contents, the memory
-     * channel residuals, and the cycle count — so the husk record
-     * skips thread/core scheduler state entirely and rebuilds the
-     * machine against an empty program.
-     */
-    static void
-    writeWarmHusk(BlobWriter &w, const ScenarioConfig &cfg,
-                  const Machine &m)
-    {
-        const bool granted = m.cfg.num_cores ==
-                             cfg.platform.machineConfig().num_cores;
-        w.boolean(granted);
-        w.u64(m.cycle);
-        w.sz(m.l1s.size());
-        for (const Cache &c : m.l1s)
-            write(w, c);
-        write(w, *m.l2);
-        write(w, *m.memory);
-    }
-
-    static void
-    readWarmHusk(BlobReader &r, const ScenarioConfig &cfg,
-                 ScenarioCheckpoint &ck)
-    {
-        const bool granted = r.boolean();
-        const SprintConfig run_cfg =
-            granted ? cfg.platform : consolidatedPlatform(cfg.platform);
-        ck.warm_program = std::make_unique<ParallelProgram>("warm-husk");
-        ck.warm_machine = prepareMachine(*ck.warm_program, run_cfg);
-        Machine &m = *ck.warm_machine;
-        m.cycle = r.u64();
-        const std::size_t nl1 = r.u64();
-        if (nl1 != m.l1s.size())
-            corrupt("warm husk L1 count differs from the "
-                    "configuration");
-        for (Cache &c : m.l1s)
-            read(r, c);
-        read(r, *m.l2);
-        read(r, *m.memory);
     }
 
     // ----- scenario value records -----------------------------------
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const ScenarioTask &t)
+    io(Ar &a, Ref<Ar, ScenarioTask> t)
     {
-        w.f64(t.arrival);
-        w.u8(static_cast<std::uint8_t>(t.kernel));
-        w.u8(static_cast<std::uint8_t>(t.size));
-        w.u64(t.seed);
-        w.i64(t.priority);
-        w.f64(t.deadline);
+        a.f64(t.arrival);
+        a.enumeration(t.kernel, KernelId::Segment, "unknown kernel id");
+        a.enumeration(t.size, InputSize::D, "unknown input size");
+        a.u64(t.seed);
+        a.i64(t.priority);
+        a.f64(t.deadline);
     }
 
+    template <class Ar>
     static void
-    read(BlobReader &r, ScenarioTask &t)
+    io(Ar &a, Ref<Ar, RunResult> rr)
     {
-        t.arrival = r.f64();
-        const std::uint8_t kernel = r.u8();
-        if (kernel > static_cast<std::uint8_t>(KernelId::Segment))
-            corrupt("unknown kernel id");
-        t.kernel = static_cast<KernelId>(kernel);
-        const std::uint8_t size = r.u8();
-        if (size > static_cast<std::uint8_t>(InputSize::D))
-            corrupt("unknown input size");
-        t.size = static_cast<InputSize>(size);
-        t.seed = r.u64();
-        t.priority = static_cast<int>(r.i64());
-        t.deadline = r.f64();
+        a.str(rr.program_name);
+        a.i64(rr.sprint_cores);
+        a.i64(rr.num_threads);
+        a.f64(rr.dvfs_boost);
+        a.f64(rr.task_time);
+        a.f64(rr.dynamic_energy);
+        a.f64(rr.peak_junction);
+        a.f64(rr.final_melt_fraction);
+        a.boolean(rr.sprint_exhausted);
+        a.boolean(rr.hardware_throttled);
+        a.f64(rr.sprint_duration);
+        a.f64(rr.sprint_energy);
+        a.f64(rr.cooldown_estimate);
+        a.f64(rr.avg_power);
+        a.f64(rr.sampled_time);
+        a.f64(rr.sampled_energy);
+        io(a, rr.junction_trace);
+        io(a, rr.power_trace);
+        io(a, rr.melt_trace);
+        io(a, rr.machine);
     }
 
+    template <class Ar>
     static void
-    write(BlobWriter &w, const RunResult &rr)
+    io(Ar &a, Ref<Ar, ScenarioTaskResult> t)
     {
-        w.str(rr.program_name);
-        w.i64(rr.sprint_cores);
-        w.i64(rr.num_threads);
-        w.f64(rr.dvfs_boost);
-        w.f64(rr.task_time);
-        w.f64(rr.dynamic_energy);
-        w.f64(rr.peak_junction);
-        w.f64(rr.final_melt_fraction);
-        w.boolean(rr.sprint_exhausted);
-        w.boolean(rr.hardware_throttled);
-        w.f64(rr.sprint_duration);
-        w.f64(rr.sprint_energy);
-        w.f64(rr.cooldown_estimate);
-        w.f64(rr.avg_power);
-        w.f64(rr.sampled_time);
-        w.f64(rr.sampled_energy);
-        write(w, rr.junction_trace);
-        write(w, rr.power_trace);
-        write(w, rr.melt_trace);
-        write(w, rr.machine);
+        a.f64(t.arrival);
+        a.f64(t.start);
+        a.f64(t.finish);
+        a.f64(t.response);
+        a.boolean(t.sprint_granted);
+        a.f64(t.melt_at_start);
+        a.f64(t.melt_at_end);
+        a.i64(t.priority);
+        a.f64(t.deadline);
+        a.boolean(t.deadline_met);
+        a.i64(t.preemptions);
+        io(a, t.run);
     }
 
+    /**
+     * A lower bound on a serialized ScenarioTaskResult: its fixed-width
+     * fields alone take 308 bytes plus 8 per op kind. Bounds a
+     * task-list length before anything is reserved for it.
+     */
+    static constexpr std::size_t kTaskResultBytes = 300;
+
+    template <class Ar>
     static void
-    read(BlobReader &r, RunResult &rr)
+    io(Ar &a, Ref<Ar, PumpState> p)
     {
-        rr.program_name = r.str();
-        rr.sprint_cores = static_cast<int>(r.i64());
-        rr.num_threads = static_cast<int>(r.i64());
-        rr.dvfs_boost = r.f64();
-        rr.task_time = r.f64();
-        rr.dynamic_energy = r.f64();
-        rr.peak_junction = r.f64();
-        rr.final_melt_fraction = r.f64();
-        rr.sprint_exhausted = r.boolean();
-        rr.hardware_throttled = r.boolean();
-        rr.sprint_duration = r.f64();
-        rr.sprint_energy = r.f64();
-        rr.cooldown_estimate = r.f64();
-        rr.avg_power = r.f64();
-        rr.sampled_time = r.f64();
-        rr.sampled_energy = r.f64();
-        read(r, rr.junction_trace);
-        read(r, rr.power_trace);
-        read(r, rr.melt_trace);
-        read(r, rr.machine);
+        a.f64(p.elapsed);
+        a.f64(p.ramp_time);
+        a.f64(p.above_tdp_time);
+        a.f64(p.above_tdp_energy);
+        a.f64(p.sampled_time);
+        a.f64(p.sampled_energy);
+        a.f64(p.peak_junction);
+        a.boolean(p.sprint_exhausted);
+        a.boolean(p.hardware_throttled);
+        a.boolean(p.policy_throttled);
+        io(a, p.junction_trace);
+        io(a, p.power_trace);
+        io(a, p.melt_trace);
     }
 
+    /**
+     * A ready-queue execution. A suspended one carries its machine:
+     * decode rebuilds the program and machine from the config's
+     * factories (the same three lines the engine's dispatch path runs),
+     * then overwrites the machine's architectural state from the blob.
+     */
+    template <class Ar>
     static void
-    write(BlobWriter &w, const ScenarioTaskResult &t)
+    io(Ar &a, const ScenarioConfig &cfg, Ref<Ar, ScenarioTaskExecution> ex)
     {
-        w.f64(t.arrival);
-        w.f64(t.start);
-        w.f64(t.finish);
-        w.f64(t.response);
-        w.boolean(t.sprint_granted);
-        w.f64(t.melt_at_start);
-        w.f64(t.melt_at_end);
-        w.i64(t.priority);
-        w.f64(t.deadline);
-        w.boolean(t.deadline_met);
-        w.i64(t.preemptions);
-        write(w, t.run);
-    }
-
-    static void
-    read(BlobReader &r, ScenarioTaskResult &t)
-    {
-        t.arrival = r.f64();
-        t.start = r.f64();
-        t.finish = r.f64();
-        t.response = r.f64();
-        t.sprint_granted = r.boolean();
-        t.melt_at_start = r.f64();
-        t.melt_at_end = r.f64();
-        t.priority = static_cast<int>(r.i64());
-        t.deadline = r.f64();
-        t.deadline_met = r.boolean();
-        t.preemptions = static_cast<int>(r.i64());
-        read(r, t.run);
-    }
-
-    static void
-    write(BlobWriter &w, const PumpState &p)
-    {
-        w.f64(p.elapsed);
-        w.f64(p.ramp_time);
-        w.f64(p.above_tdp_time);
-        w.f64(p.above_tdp_energy);
-        w.f64(p.sampled_time);
-        w.f64(p.sampled_energy);
-        w.f64(p.peak_junction);
-        w.boolean(p.sprint_exhausted);
-        w.boolean(p.hardware_throttled);
-        w.boolean(p.policy_throttled);
-        write(w, p.junction_trace);
-        write(w, p.power_trace);
-        write(w, p.melt_trace);
-    }
-
-    static void
-    read(BlobReader &r, PumpState &p)
-    {
-        p.elapsed = r.f64();
-        p.ramp_time = r.f64();
-        p.above_tdp_time = r.f64();
-        p.above_tdp_energy = r.f64();
-        p.sampled_time = r.f64();
-        p.sampled_energy = r.f64();
-        p.peak_junction = r.f64();
-        p.sprint_exhausted = r.boolean();
-        p.hardware_throttled = r.boolean();
-        p.policy_throttled = r.boolean();
-        read(r, p.junction_trace);
-        read(r, p.power_trace);
-        read(r, p.melt_trace);
-    }
-
-    static void
-    writeExecution(BlobWriter &w, const ScenarioConfig &cfg,
-                   const ScenarioTaskExecution &ex)
-    {
-        write(w, ex.task);
-        w.boolean(ex.started);
-        w.boolean(ex.sprint_granted);
-        w.i64(ex.preemptions);
-        w.f64(ex.first_start);
-        w.f64(ex.melt_at_start);
-        write(w, ex.pump);
-        const bool has_machine = ex.machine != nullptr;
-        w.boolean(has_machine);
-        if (has_machine)
-            write(w, *ex.machine);
-        (void)cfg;
-    }
-
-    static std::unique_ptr<ScenarioTaskExecution>
-    readExecution(BlobReader &r, const ScenarioConfig &cfg)
-    {
-        auto ex = std::make_unique<ScenarioTaskExecution>();
-        read(r, ex->task);
-        ex->started = r.boolean();
-        ex->sprint_granted = r.boolean();
-        ex->preemptions = static_cast<int>(r.i64());
-        ex->first_start = r.f64();
-        ex->melt_at_start = r.f64();
-        read(r, ex->pump);
-        const bool has_machine = r.boolean();
-        if (has_machine) {
-            // A suspended execution rebuilds its program and machine
-            // from the config's factories (the same three lines the
-            // engine's dispatch path runs), then overwrites the
-            // machine's architectural state from the blob.
-            ex->run_cfg = ex->sprint_granted
-                              ? cfg.platform
-                              : consolidatedPlatform(cfg.platform);
-            ex->program = std::make_unique<ParallelProgram>(
+        io(a, ex.task);
+        a.boolean(ex.started);
+        a.boolean(ex.sprint_granted);
+        a.i64(ex.preemptions);
+        a.f64(ex.first_start);
+        a.f64(ex.melt_at_start);
+        io(a, ex.pump);
+        bool has_machine = ex.machine != nullptr;
+        a.boolean(has_machine);
+        if (!has_machine)
+            return;
+        if constexpr (Ar::kDecode) {
+            ex.run_cfg = ex.sprint_granted
+                             ? cfg.platform
+                             : consolidatedPlatform(cfg.platform);
+            ex.program = std::make_unique<ParallelProgram>(
                 cfg.program_factory
-                    ? cfg.program_factory(ex->task)
-                    : buildKernelProgram(ex->task.kernel, ex->task.size,
-                                         ex->task.seed));
-            ex->machine = prepareMachine(*ex->program, ex->run_cfg);
-            read(r, *ex->machine, *ex->program);
+                    ? cfg.program_factory(ex.task)
+                    : buildKernelProgram(ex.task.kernel, ex.task.size,
+                                         ex.task.seed));
+            ex.machine = prepareMachine(*ex.program, ex.run_cfg);
         }
-        return ex;
+        io(a, *ex.machine);
+    }
+
+    /**
+     * The warm machine only ever feeds warmStartFrom(), which reads the
+     * cache geometry, L1/L2/directory contents, the memory channel
+     * residuals, and the cycle count — so the husk record skips
+     * thread/core scheduler state entirely and decode rebuilds the
+     * machine against an empty program.
+     */
+    template <class Ar>
+    static void
+    ioWarmHusk(Ar &a, const ScenarioConfig &cfg,
+               Ref<Ar, ScenarioCheckpoint> ck)
+    {
+        bool granted = false;
+        if constexpr (!Ar::kDecode)
+            granted = ck.warm_machine->cfg.num_cores ==
+                      cfg.platform.machineConfig().num_cores;
+        a.boolean(granted);
+        if constexpr (Ar::kDecode) {
+            ck.warm_program = std::make_unique<ParallelProgram>("warm-husk");
+            ck.warm_machine = prepareMachine(
+                *ck.warm_program,
+                granted ? cfg.platform : consolidatedPlatform(cfg.platform));
+        }
+        a.u64(ck.warm_machine->cycle);
+        ioMemorySide(a, *ck.warm_machine,
+                     "warm husk L1 count differs from the configuration");
+    }
+
+    /** The whole checkpoint payload. */
+    template <class Ar>
+    static void
+    io(Ar &a, const ScenarioConfig &cfg, Ref<Ar, ScenarioCheckpoint> ck)
+    {
+        a.boolean(ck.done);
+        io(a, ck.arrivals);
+        io(a, ck.thermal);
+        a.vecF64(ck.policy_state);
+        a.f64(ck.now);
+        a.f64(ck.busy);
+        a.u64(ck.tasks_completed);
+        a.i64(ck.sprints_granted);
+        a.i64(ck.sprints_denied);
+        a.i64(ck.sprints_exhausted);
+        a.i64(ck.hardware_throttles);
+        a.i64(ck.preemptions);
+        a.i64(ck.tasks_dropped);
+        a.i64(ck.deadlines_met);
+        a.i64(ck.deadlines_missed);
+        a.f64(ck.peak_junction);
+        a.f64(ck.total_energy);
+        a.f64(ck.total_sprint_time);
+        a.f64(ck.total_sprint_energy);
+        a.f64(ck.peak_melt);
+        io(a, ck.p50);
+        io(a, ck.p95);
+        io(a, ck.melt_cycles);
+        io(a, ck.traces);
+        io(a, ck.surrogate);
+        a.vec(ck.tasks, kTaskResultBytes,
+              [](auto &a2, auto &t) { io(a2, t); });
+        a.boolean(ck.have_peek);
+        if (ck.have_peek)
+            io(a, ck.peek);
+        std::size_t nready = ck.ready.size();
+        a.sz(nready);
+        if constexpr (Ar::kDecode)
+            ck.ready.reserve(nready);
+        for (std::size_t i = 0; i < nready; ++i) {
+            if constexpr (Ar::kDecode)
+                ck.ready.push_back(std::make_unique<ScenarioTaskExecution>());
+            else if (ck.ready[i] == nullptr)
+                unsupported("null execution in the ready queue");
+            io(a, cfg, *ck.ready[i]);
+        }
+        bool has_warm = ck.warm_machine != nullptr;
+        a.boolean(has_warm);
+        if (has_warm)
+            ioWarmHusk(a, cfg, ck);
     }
 
     // ----- paranoia validation --------------------------------------
@@ -1371,98 +1111,19 @@ std::vector<std::uint8_t>
 serializeCheckpoint(const ScenarioConfig &cfg,
                     const ScenarioCheckpoint &ck)
 {
-    BlobWriter w;
-    w.boolean(ck.done);
-    CheckpointIO::write(w, ck.arrivals);
-    CheckpointIO::write(w, ck.thermal);
-    w.vecF64(ck.policy_state);
-    w.f64(ck.now);
-    w.f64(ck.busy);
-    w.u64(ck.tasks_completed);
-    w.i64(ck.sprints_granted);
-    w.i64(ck.sprints_denied);
-    w.i64(ck.sprints_exhausted);
-    w.i64(ck.hardware_throttles);
-    w.i64(ck.preemptions);
-    w.i64(ck.tasks_dropped);
-    w.i64(ck.deadlines_met);
-    w.i64(ck.deadlines_missed);
-    w.f64(ck.peak_junction);
-    w.f64(ck.total_energy);
-    w.f64(ck.total_sprint_time);
-    w.f64(ck.total_sprint_energy);
-    w.f64(ck.peak_melt);
-    CheckpointIO::write(w, ck.p50);
-    CheckpointIO::write(w, ck.p95);
-    CheckpointIO::write(w, ck.melt_cycles);
-    CheckpointIO::write(w, ck.traces);
-    CheckpointIO::write(w, ck.surrogate);
-    w.vec(ck.tasks, [](BlobWriter &w2, const ScenarioTaskResult &t) {
-        CheckpointIO::write(w2, t);
-    });
-    w.boolean(ck.have_peek);
-    if (ck.have_peek)
-        CheckpointIO::write(w, ck.peek);
-    w.sz(ck.ready.size());
-    for (const auto &ex : ck.ready) {
-        if (ex == nullptr)
-            unsupported("null execution in the ready queue");
-        CheckpointIO::writeExecution(w, cfg, *ex);
-    }
-    const bool has_warm = ck.warm_machine != nullptr;
-    w.boolean(has_warm);
-    if (has_warm)
-        CheckpointIO::writeWarmHusk(w, cfg, *ck.warm_machine);
-    return BlobContainer::seal(scenarioConfigDigest(cfg), w.take());
+    Enc e;
+    CheckpointIO::io(e, cfg, ck);
+    return BlobContainer::seal(scenarioConfigDigest(cfg), e.w.take());
 }
 
 ScenarioCheckpoint
 deserializeCheckpoint(const ScenarioConfig &cfg,
                       const std::vector<std::uint8_t> &blob)
 {
-    BlobReader r = BlobContainer::open(blob, scenarioConfigDigest(cfg));
+    Dec d{BlobContainer::open(blob, scenarioConfigDigest(cfg))};
     ScenarioCheckpoint ck;
-    ck.done = r.boolean();
-    CheckpointIO::read(r, ck.arrivals);
-    CheckpointIO::read(r, ck.thermal);
-    ck.policy_state = r.vecF64();
-    ck.now = r.f64();
-    ck.busy = r.f64();
-    ck.tasks_completed = r.u64();
-    ck.sprints_granted = static_cast<int>(r.i64());
-    ck.sprints_denied = static_cast<int>(r.i64());
-    ck.sprints_exhausted = static_cast<int>(r.i64());
-    ck.hardware_throttles = static_cast<int>(r.i64());
-    ck.preemptions = static_cast<int>(r.i64());
-    ck.tasks_dropped = static_cast<int>(r.i64());
-    ck.deadlines_met = static_cast<int>(r.i64());
-    ck.deadlines_missed = static_cast<int>(r.i64());
-    ck.peak_junction = r.f64();
-    ck.total_energy = r.f64();
-    ck.total_sprint_time = r.f64();
-    ck.total_sprint_energy = r.f64();
-    ck.peak_melt = r.f64();
-    CheckpointIO::read(r, ck.p50);
-    CheckpointIO::read(r, ck.p95);
-    CheckpointIO::read(r, ck.melt_cycles);
-    CheckpointIO::read(r, ck.traces);
-    CheckpointIO::read(r, ck.surrogate);
-    ck.tasks = r.vec<ScenarioTaskResult>(1, [](BlobReader &r2) {
-        ScenarioTaskResult t;
-        CheckpointIO::read(r2, t);
-        return t;
-    });
-    ck.have_peek = r.boolean();
-    if (ck.have_peek)
-        CheckpointIO::read(r, ck.peek);
-    const std::size_t nready = r.sz();
-    ck.ready.reserve(nready);
-    for (std::size_t i = 0; i < nready; ++i)
-        ck.ready.push_back(CheckpointIO::readExecution(r, cfg));
-    const bool has_warm = r.boolean();
-    if (has_warm)
-        CheckpointIO::readWarmHusk(r, cfg, ck);
-    r.expectEnd();
+    CheckpointIO::io(d, cfg, ck);
+    d.r.expectEnd();
     return ck;
 }
 

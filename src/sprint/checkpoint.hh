@@ -15,6 +15,12 @@
  * captured (a custom OpStream subclass, a machine not parked at a
  * sample boundary) fails the save with Kind::Unsupported.
  *
+ * Each record's byte layout is written down once: checkpoint.cc lists
+ * its fields in one io() template per record, which encode and decode
+ * both instantiate (Enc/Dec, common/blob.hh), so the writer and the
+ * reader cannot drift apart. A field is added, moved or removed in that
+ * one list, and any layout change bumps BlobContainer::kVersion.
+ *
  * CheckpointStore adds crash-safe persistence: checkpoints are
  * written to a temporary file and atomically renamed, with a manifest
  * naming the last complete checkpoint and the previous one retained

@@ -201,106 +201,156 @@ tryParseFrame(std::vector<std::uint8_t> &buf, ParsedFrame &out)
 }
 
 // --- Spec payload ---------------------------------------------------
+//
+// Each record's field list is written once, as an io() template over
+// the direction (Enc/Dec, common/blob.hh).
 
-template <typename E>
-E
-decodeEnum(std::int64_t v, std::int64_t hi, const char *what)
-{
-    if (v < 0 || v > hi)
-        throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              std::string("fleet spec: ") + what +
-                                  " value " + std::to_string(v) +
-                                  " out of range");
-    return static_cast<E>(v);
-}
-
+/**
+ * A format version word; decode rejects any other version with @p what
+ * ("fleet spec", "fleet aggregate") in the message.
+ */
+template <class Ar>
 void
-writeSpecBody(BlobWriter &w, const FleetSpec &spec)
+formatVersion(Ar &a, std::uint32_t version, const char *what)
 {
-    w.u64(spec.seed);
-    w.i64(spec.num_devices);
-    w.f64(spec.time_scale);
-    w.f64(spec.thermal_limit);
-    w.vec(spec.classes, [](BlobWriter &w, const FleetDeviceClass &c) {
-        w.f64(c.weight);
-        w.i64(c.cores);
-        w.f64(c.pcm_mass_lo);
-        w.f64(c.pcm_mass_hi);
-        w.f64(c.ambient_lo);
-        w.f64(c.ambient_hi);
-        w.i64(static_cast<std::int64_t>(c.policy));
-        w.f64(c.pacing_period);
-        w.f64(c.service_prior);
-        w.i64(static_cast<std::int64_t>(c.pattern));
-        w.i64(c.num_tasks);
-        w.f64(c.period);
-        w.i64(c.burst_size);
-        w.f64(c.burst_spacing);
-        w.vec(c.mix, [](BlobWriter &w, const WorkloadMixEntry &m) {
-            w.i64(static_cast<std::int64_t>(m.kernel));
-            w.i64(static_cast<std::int64_t>(m.size));
-            w.f64(m.weight);
-        });
-        w.i64(static_cast<std::int64_t>(c.kernel));
-        w.i64(static_cast<std::int64_t>(c.size));
-        w.boolean(c.warm_caches);
-        w.f64(c.hi_priority_fraction);
-        w.f64(c.deadline_hi);
-        w.f64(c.deadline_lo);
-        w.f64(c.tail_rest);
-    });
+    std::uint32_t v = version;
+    a.u32(v);
+    if (v != version)
+        throw CheckpointError(CheckpointError::Kind::BadVersion,
+                              std::string(what) + " format version " +
+                                  std::to_string(v) +
+                                  " is not readable by this build");
 }
 
-FleetSpec
-readSpecBody(BlobReader &r)
+/** An enum stored as an i64; decode rejects a value outside [0, last]. */
+template <class Ar, class X, class E>
+void
+specEnum(Ar &a, X &x, E last, const char *what)
 {
-    FleetSpec spec;
-    spec.seed = r.u64();
-    const std::int64_t nd = r.i64();
-    if (nd < 1 || nd > (1 << 20))
-        throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              "fleet spec: device count " +
-                                  std::to_string(nd) +
-                                  " outside [1, 2^20]");
-    spec.num_devices = static_cast<int>(nd);
-    spec.time_scale = r.f64();
-    spec.thermal_limit = r.f64();
-    spec.classes =
-        r.vec<FleetDeviceClass>(8 * 20, [](BlobReader &r) {
-            FleetDeviceClass c;
-            c.weight = r.f64();
-            c.cores = static_cast<int>(r.i64());
-            c.pcm_mass_lo = r.f64();
-            c.pcm_mass_hi = r.f64();
-            c.ambient_lo = r.f64();
-            c.ambient_hi = r.f64();
-            c.policy = decodeEnum<SprintPolicyKind>(r.i64(), 6,
-                                                    "policy kind");
-            c.pacing_period = r.f64();
-            c.service_prior = r.f64();
-            c.pattern = decodeEnum<ArrivalPattern>(r.i64(), 3,
-                                                   "arrival pattern");
-            c.num_tasks = static_cast<int>(r.i64());
-            c.period = r.f64();
-            c.burst_size = static_cast<int>(r.i64());
-            c.burst_spacing = r.f64();
-            c.mix = r.vec<WorkloadMixEntry>(24, [](BlobReader &r) {
-                WorkloadMixEntry m;
-                m.kernel = decodeEnum<KernelId>(r.i64(), 5, "kernel");
-                m.size = decodeEnum<InputSize>(r.i64(), 3, "size");
-                m.weight = r.f64();
-                return m;
-            });
-            c.kernel = decodeEnum<KernelId>(r.i64(), 5, "kernel");
-            c.size = decodeEnum<InputSize>(r.i64(), 3, "size");
-            c.warm_caches = r.boolean();
-            c.hi_priority_fraction = r.f64();
-            c.deadline_hi = r.f64();
-            c.deadline_lo = r.f64();
-            c.tail_rest = r.f64();
-            return c;
-        });
-    return spec;
+    std::int64_t v = static_cast<std::int64_t>(x);
+    a.i64(v);
+    if constexpr (Ar::kDecode) {
+        if (v < 0 || v > static_cast<std::int64_t>(last))
+            corrupt(std::string("fleet spec: ") + what + " value " +
+                    std::to_string(v) + " out of range");
+        x = static_cast<E>(v);
+    }
+}
+
+template <class Ar>
+void
+io(Ar &a, Ref<Ar, FleetDeviceClass> c)
+{
+    a.f64(c.weight);
+    a.i64(c.cores);
+    a.f64(c.pcm_mass_lo);
+    a.f64(c.pcm_mass_hi);
+    a.f64(c.ambient_lo);
+    a.f64(c.ambient_hi);
+    specEnum(a, c.policy, SprintPolicyKind::ModelPredictive, "policy kind");
+    a.f64(c.pacing_period);
+    a.f64(c.service_prior);
+    specEnum(a, c.pattern, ArrivalPattern::BackToBack, "arrival pattern");
+    a.i64(c.num_tasks);
+    a.f64(c.period);
+    a.i64(c.burst_size);
+    a.f64(c.burst_spacing);
+    a.vec(c.mix, 24, [](auto &a2, auto &m) {
+        specEnum(a2, m.kernel, KernelId::Segment, "kernel");
+        specEnum(a2, m.size, InputSize::D, "size");
+        a2.f64(m.weight);
+    });
+    specEnum(a, c.kernel, KernelId::Segment, "kernel");
+    specEnum(a, c.size, InputSize::D, "size");
+    a.boolean(c.warm_caches);
+    a.f64(c.hi_priority_fraction);
+    a.f64(c.deadline_hi);
+    a.f64(c.deadline_lo);
+    a.f64(c.tail_rest);
+}
+
+/** The spec's own fields: the body fleetSpecDigest() covers. */
+template <class Ar>
+void
+io(Ar &a, Ref<Ar, FleetSpec> spec)
+{
+    a.u64(spec.seed);
+    std::int64_t nd = spec.num_devices;
+    a.i64(nd);
+    if constexpr (Ar::kDecode) {
+        if (nd < 1 || nd > (1 << 20))
+            corrupt("fleet spec: device count " + std::to_string(nd) +
+                    " outside [1, 2^20]");
+        spec.num_devices = static_cast<int>(nd);
+    }
+    a.f64(spec.time_scale);
+    a.f64(spec.thermal_limit);
+    a.vec(spec.classes, 8 * 20, [](auto &a2, auto &c) { io(a2, c); });
+}
+
+/** The spec file a worker reads: version, spec, fault plan, options. */
+template <class Ar>
+void
+io(Ar &a, Ref<Ar, FleetSpec> spec, Ref<Ar, FaultPlan> plan,
+   Ref<Ar, FleetOptions> opts)
+{
+    formatVersion(a, kFleetSpecVersion, "fleet spec");
+    io(a, spec);
+    a.vec(plan.faults, 24, [](auto &a2, auto &f) {
+        a2.i64(f.shard);
+        specEnum(a2, f.kind, FaultKind::CorruptPipe, "fault kind");
+        a2.u64(f.at_seq);
+    });
+    a.u64(opts.checkpoint_every_tasks);
+    a.boolean(opts.paranoia);
+}
+
+/**
+ * A P² estimator in its save()/restore() layout of kStateSize f64s
+ * (the checkpoint codec stores the count as a u64 instead).
+ */
+template <class Ar>
+void
+io(Ar &a, Ref<Ar, P2Quantile> q, double quantile)
+{
+    double st[P2Quantile::kStateSize];
+    if constexpr (!Ar::kDecode)
+        q.save(st);
+    for (double &v : st)
+        a.f64(v);
+    if constexpr (Ar::kDecode) {
+        // The count must convert to size_t exactly: a double past 2^53
+        // (or past size_t) is no count P2Quantile::save wrote.
+        if (st[0] != quantile || !(st[1] >= 0.0) ||
+            !(st[1] <= 9007199254740992.0))
+            corrupt("fleet aggregates: malformed quantile state");
+        q.restore(st);
+    }
+}
+
+template <class Ar>
+void
+io(Ar &a, Ref<Ar, FleetAggregates> agg)
+{
+    formatVersion(a, kFleetAggVersion, "fleet aggregate");
+    a.u64(agg.devices);
+    a.u64(agg.degraded_devices);
+    a.u64(agg.tasks_completed);
+    a.u64(agg.tasks_dropped);
+    a.u64(agg.deadlines_met);
+    a.u64(agg.deadlines_missed);
+    a.u64(agg.sprints_granted);
+    a.u64(agg.sprints_denied);
+    a.u64(agg.hardware_throttles);
+    a.u64(agg.melt_cycles);
+    a.u64(agg.thermal_violations);
+    a.f64(agg.peak_junction);
+    a.f64(agg.peak_melt);
+    a.f64(agg.total_energy);
+    a.f64(agg.total_sprint_time);
+    a.f64(agg.total_sprint_energy);
+    io(a, agg.response_p50, 0.50);
+    io(a, agg.response_p95, 0.95);
 }
 
 } // namespace
@@ -425,26 +475,18 @@ fleetDeviceThermalLimit(const FleetSpec &spec, const ScenarioConfig &cfg)
 std::uint32_t
 fleetSpecDigest(const FleetSpec &spec)
 {
-    BlobWriter w;
-    writeSpecBody(w, spec);
-    return crc32(w.buffer().data(), w.buffer().size());
+    Enc e;
+    io(e, spec);
+    return crc32(e.w.buffer().data(), e.w.size());
 }
 
 std::vector<std::uint8_t>
 serializeFleetSpec(const FleetSpec &spec, const FaultPlan &plan,
                    const FleetOptions &opts)
 {
-    BlobWriter w;
-    w.u32(kFleetSpecVersion);
-    writeSpecBody(w, spec);
-    w.vec(plan.faults, [](BlobWriter &w, const FaultSpec &f) {
-        w.i64(f.shard);
-        w.i64(static_cast<std::int64_t>(f.kind));
-        w.u64(f.at_seq);
-    });
-    w.u64(opts.checkpoint_every_tasks);
-    w.boolean(opts.paranoia);
-    return BlobContainer::seal(kFleetFileDigest, w.take());
+    Enc e;
+    io(e, spec, plan, opts);
+    return BlobContainer::seal(kFleetFileDigest, e.w.take());
 }
 
 void
@@ -452,28 +494,13 @@ deserializeFleetSpec(const std::vector<std::uint8_t> &blob,
                      FleetSpec &spec, FaultPlan &plan,
                      FleetOptions &opts)
 {
-    BlobReader r = BlobContainer::open(blob, kFleetFileDigest);
-    const std::uint32_t version = r.u32();
-    if (version != kFleetSpecVersion)
-        throw CheckpointError(CheckpointError::Kind::BadVersion,
-                              "fleet spec format version " +
-                                  std::to_string(version) +
-                                  " is not readable by this build");
-    spec = readSpecBody(r);
-    plan.faults = r.vec<FaultSpec>(24, [](BlobReader &r) {
-        FaultSpec f;
-        f.shard = static_cast<int>(r.i64());
-        f.kind = decodeEnum<FaultKind>(r.i64(), 6, "fault kind");
-        f.at_seq = r.u64();
-        return f;
-    });
-    opts.checkpoint_every_tasks = r.u64();
-    opts.paranoia = r.boolean();
-    r.expectEnd();
+    Dec d{BlobContainer::open(blob, kFleetFileDigest)};
+    spec = FleetSpec();
+    io(d, spec, plan, opts);
+    d.r.expectEnd();
     validateFleetSpec(spec);
     if (opts.checkpoint_every_tasks == 0)
-        throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              "fleet spec: checkpoint cadence is zero");
+        corrupt("fleet spec: checkpoint cadence is zero");
 }
 
 std::vector<std::pair<int, int>>
@@ -576,78 +603,19 @@ std::vector<std::uint8_t>
 serializeFleetAggregates(const FleetAggregates &agg,
                          std::uint32_t spec_digest)
 {
-    BlobWriter w;
-    w.u32(kFleetAggVersion);
-    w.u64(agg.devices);
-    w.u64(agg.degraded_devices);
-    w.u64(agg.tasks_completed);
-    w.u64(agg.tasks_dropped);
-    w.u64(agg.deadlines_met);
-    w.u64(agg.deadlines_missed);
-    w.u64(agg.sprints_granted);
-    w.u64(agg.sprints_denied);
-    w.u64(agg.hardware_throttles);
-    w.u64(agg.melt_cycles);
-    w.u64(agg.thermal_violations);
-    w.f64(agg.peak_junction);
-    w.f64(agg.peak_melt);
-    w.f64(agg.total_energy);
-    w.f64(agg.total_sprint_time);
-    w.f64(agg.total_sprint_energy);
-    double st[P2Quantile::kStateSize];
-    agg.response_p50.save(st);
-    for (double v : st)
-        w.f64(v);
-    agg.response_p95.save(st);
-    for (double v : st)
-        w.f64(v);
-    return BlobContainer::seal(spec_digest, w.take());
+    Enc e;
+    io(e, agg);
+    return BlobContainer::seal(spec_digest, e.w.take());
 }
 
 FleetAggregates
 deserializeFleetAggregates(const std::vector<std::uint8_t> &blob,
                            std::uint32_t spec_digest)
 {
-    BlobReader r = BlobContainer::open(blob, spec_digest);
-    const std::uint32_t version = r.u32();
-    if (version != kFleetAggVersion)
-        throw CheckpointError(CheckpointError::Kind::BadVersion,
-                              "fleet aggregate format version " +
-                                  std::to_string(version) +
-                                  " is not readable by this build");
+    Dec d{BlobContainer::open(blob, spec_digest)};
     FleetAggregates agg;
-    agg.devices = r.u64();
-    agg.degraded_devices = r.u64();
-    agg.tasks_completed = r.u64();
-    agg.tasks_dropped = r.u64();
-    agg.deadlines_met = r.u64();
-    agg.deadlines_missed = r.u64();
-    agg.sprints_granted = r.u64();
-    agg.sprints_denied = r.u64();
-    agg.hardware_throttles = r.u64();
-    agg.melt_cycles = r.u64();
-    agg.thermal_violations = r.u64();
-    agg.peak_junction = r.f64();
-    agg.peak_melt = r.f64();
-    agg.total_energy = r.f64();
-    agg.total_sprint_time = r.f64();
-    agg.total_sprint_energy = r.f64();
-    const auto restoreP2 = [&r](P2Quantile &q, double expect) {
-        double st[P2Quantile::kStateSize];
-        for (double &v : st)
-            v = r.f64();
-        // The count must convert to size_t exactly: a double past 2^53
-        // (or past size_t) is no count P2Quantile::save wrote.
-        if (st[0] != expect || !(st[1] >= 0.0) ||
-            !(st[1] <= 9007199254740992.0))
-            throw CheckpointError(
-                CheckpointError::Kind::Corrupt,
-                "fleet aggregates: malformed quantile state");
-        q.restore(st);
-    };
-    restoreP2(agg.response_p50, 0.50);
-    restoreP2(agg.response_p95, 0.95);
-    r.expectEnd();
+    io(d, agg);
+    d.r.expectEnd();
     return agg;
 }
 

@@ -6,8 +6,8 @@
  * aggregates (exact counters, deterministic P² quantile merge that is
  * order-insensitive within an estimator tolerance), wire round-trips,
  * re-sealed mutational fuzz of the spec and aggregate decoders
- * (tests/blob_fuzz.hh), and a small in-process fleet sanity run. The cross-process parity
- * gates live in tests/fleet_fault_test.cc and
+ * (tests/blob_fuzz.hh), and a small in-process fleet sanity run. The
+ * cross-process parity gates live in tests/fleet_fault_test.cc and
  * tests/differential_test.cc.
  */
 
