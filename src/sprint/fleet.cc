@@ -1391,26 +1391,35 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         }
     }
 
-    // Finish every received final checkpoint: the device outcomes,
-    // and the devices a degraded range still folds.
+    // Every received final checkpoint completes its device, as in the
+    // thread transport. Only a result someone reads is decoded and
+    // finished: all of them under keep_device_results, otherwise just
+    // the devices a degraded range folds one by one (a finished
+    // range's own aggregates already cover its devices).
     std::vector<FleetDeviceOutcome> devices(
         static_cast<std::size_t>(spec.num_devices));
-    for (int d = 0; d < spec.num_devices; ++d) {
-        const std::vector<std::uint8_t> &blob =
-            device_blobs[static_cast<std::size_t>(d)];
-        if (blob.empty())
-            continue;
-        const ScenarioConfig cfg = fleetDeviceConfig(spec, d);
-        try {
-            ScenarioCheckpoint ck = deserializeCheckpoint(cfg, blob);
-            if (!ck.done)
+    for (const RangeState &r : ranges) {
+        const bool decode = opts.keep_device_results || !r.finished;
+        for (int d = r.stats.range_begin; d < r.stats.range_end; ++d) {
+            const std::vector<std::uint8_t> &blob =
+                device_blobs[static_cast<std::size_t>(d)];
+            if (blob.empty())
                 continue;
             FleetDeviceOutcome &out = devices[static_cast<std::size_t>(d)];
-            out.result = finishScenario(cfg, std::move(ck));
+            if (decode) {
+                const ScenarioConfig cfg = fleetDeviceConfig(spec, d);
+                try {
+                    ScenarioCheckpoint ck = deserializeCheckpoint(cfg, blob);
+                    if (!ck.done)
+                        continue;
+                    out.result = finishScenario(cfg, std::move(ck));
+                } catch (const CheckpointError &) {
+                    // An unreadable blob is treated as never received.
+                    continue;
+                }
+            }
             out.completed = true;
             out.checkpoint_digest = crc32(blob.data(), blob.size());
-        } catch (const CheckpointError &) {
-            // An unreadable blob is treated as never received.
         }
     }
     const std::uint32_t digest = fleetSpecDigest(spec);

@@ -5,7 +5,7 @@
  *
  *  - a clean multi-process fleet run equals the in-process run
  *    bit-for-bit on every shared aggregate field and per-device
- *    checkpoint digest;
+ *    checkpoint digest, with and without per-device results;
  *
  *  - for KillWorker, Stall and CorruptPipe, a run whose worker is
  *    killed, stalls, or corrupts its pipe — and is then respawned
@@ -104,6 +104,27 @@ TEST(FleetFault, MultiProcessMatchesInProcessBitExact)
         EXPECT_EQ(w.respawns, 0) << w.last_error;
 }
 
+TEST(FleetFault, MultiProcessWithoutDeviceResultsMatchesInProcess)
+{
+    // Without per-device results the parent marks each received final
+    // checkpoint complete by its digest instead of decoding it.
+    const FleetSpec spec = faultFleet(51);
+    const ScopedTempDir ip_store("ffip"), mp_store("ffmp");
+    FleetOptions ip_opts = fleetOptions(ip_store);
+    FleetOptions mp_opts = fleetOptions(mp_store);
+    ip_opts.keep_device_results = false;
+    mp_opts.keep_device_results = false;
+    const FleetResult ip = runFleetInProcess(spec, ip_opts);
+    const FleetResult mp = runFleetMultiProcess(spec, mp_opts);
+    ASSERT_TRUE(ip.allOk()) << workerErrors(ip);
+    ASSERT_TRUE(mp.allOk()) << workerErrors(mp);
+    EXPECT_EQ(firstDifference(ip, mp), "");
+    for (const FleetDeviceOutcome &d : mp.devices) {
+        EXPECT_TRUE(d.completed);
+        EXPECT_NE(d.checkpoint_digest, 0u);
+    }
+}
+
 /** Recovered-equals-uninterrupted for one process-level fault kind. */
 void
 processRecoveryParity(FaultKind kind)
@@ -180,39 +201,46 @@ TEST(FleetFault, RandomizedMultiShardProcessPlanStaysBitExact)
 
 TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
 {
-    const FleetSpec spec = faultFleet(33);
+    // With and without per-device results: the degraded range's
+    // reaped devices are decoded and folded either way.
+    for (const bool keep : {true, false}) {
+        SCOPED_TRACE(keep ? "keep_device_results" : "no device results");
+        const FleetSpec spec = faultFleet(33);
 
-    const ScopedTempDir store("degraded");
-    FleetOptions opts = fleetOptions(store);
-    opts.num_workers = 1;
-    opts.max_retries = 0; // one attempt: the injected fault is fatal
+        const ScopedTempDir store("degraded");
+        FleetOptions opts = fleetOptions(store);
+        opts.num_workers = 1;
+        opts.max_retries = 0; // one attempt: the injected fault is fatal
+        opts.keep_device_results = keep;
 
-    // Device 2 dies at its first checkpoint; devices 0 and 1 finished
-    // earlier, so their final checkpoints were already reaped.
-    FaultPlan plan;
-    plan.faults.push_back({2, FaultKind::KillWorker, 1});
+        // Device 2 dies at its first checkpoint; devices 0 and 1
+        // finished earlier, so their final checkpoints were already
+        // reaped.
+        FaultPlan plan;
+        plan.faults.push_back({2, FaultKind::KillWorker, 1});
 
-    const FleetResult res = runFleetMultiProcess(spec, opts, plan);
-    EXPECT_FALSE(res.allOk());
-    ASSERT_EQ(res.workers.size(), 1u);
-    EXPECT_TRUE(res.workers[0].degraded);
-    EXPECT_EQ(res.aggregates.devices,
-              static_cast<std::uint64_t>(spec.num_devices));
-    EXPECT_EQ(res.aggregates.degraded_devices, 2u); // devices 2, 3
-    EXPECT_GT(res.aggregates.tasks_completed, 0u);  // devices 0, 1
-    EXPECT_TRUE(res.devices[0].completed);
-    EXPECT_TRUE(res.devices[1].completed);
-    EXPECT_FALSE(res.devices[2].completed);
-    EXPECT_FALSE(res.devices[3].completed);
+        const FleetResult res = runFleetMultiProcess(spec, opts, plan);
+        EXPECT_FALSE(res.allOk());
+        ASSERT_EQ(res.workers.size(), 1u);
+        EXPECT_TRUE(res.workers[0].degraded);
+        EXPECT_EQ(res.aggregates.devices,
+                  static_cast<std::uint64_t>(spec.num_devices));
+        EXPECT_EQ(res.aggregates.degraded_devices, 2u); // devices 2, 3
+        EXPECT_GT(res.aggregates.tasks_completed, 0u);  // devices 0, 1
+        EXPECT_TRUE(res.devices[0].completed);
+        EXPECT_TRUE(res.devices[1].completed);
+        EXPECT_FALSE(res.devices[2].completed);
+        EXPECT_FALSE(res.devices[3].completed);
 
-    // A later clean run over the same store resumes the persisted
-    // devices instead of starting over, and completes the fleet.
-    const FleetResult rerun = runFleetMultiProcess(spec, opts);
-    ASSERT_TRUE(rerun.allOk());
-    EXPECT_GE(rerun.workers[0].recoveries, 1u);
-    EXPECT_EQ(rerun.aggregates.degraded_devices, 0u);
-    EXPECT_EQ(rerun.devices[0].checkpoint_digest,
-              res.devices[0].checkpoint_digest);
+        // A later clean run over the same store resumes the persisted
+        // devices instead of starting over, and completes the fleet.
+        const FleetResult rerun = runFleetMultiProcess(spec, opts);
+        ASSERT_TRUE(rerun.allOk());
+        EXPECT_GE(rerun.workers[0].recoveries, 1u);
+        EXPECT_EQ(rerun.aggregates.degraded_devices, 0u);
+        EXPECT_EQ(rerun.devices[0].checkpoint_digest,
+                  res.devices[0].checkpoint_digest);
+    }
 }
 
 TEST(FleetFault, ThreadTransportRejectsProcessKinds)
