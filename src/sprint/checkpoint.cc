@@ -220,20 +220,17 @@ struct CheckpointIO
     static void
     io(Ar &a, Ref<Ar, Cache> c)
     {
-        std::size_t sets = c.sets;
-        int ways = c.ways;
-        a.u64(sets);
-        a.i64(ways);
-        a.check(sets == c.sets && ways == c.ways,
-                "cache geometry differs from the configuration");
+        const char *geometry = "cache geometry differs from the configuration";
+        a.expect(c.sets, geometry);
+        a.expect(static_cast<std::uint64_t>(c.ways), geometry);
         a.vecU64(c.tags);
-        a.check(c.tags.size() == sets * static_cast<std::size_t>(ways),
+        a.check(c.tags.size() == c.sets * static_cast<std::size_t>(c.ways),
                 "cache tag array size mismatch");
         std::size_t nmeta = c.meta.size();
         a.sz(nmeta);
-        a.check(nmeta == sets, "cache metadata size mismatch");
+        a.check(nmeta == c.sets, "cache metadata size mismatch");
         const std::uint16_t way_mask = static_cast<std::uint16_t>(
-            ways >= 16 ? 0xFFFFu : ((1u << ways) - 1u));
+            c.ways >= 16 ? 0xFFFFu : ((1u << c.ways) - 1u));
         for (std::size_t s = 0; s < nmeta; ++s) {
             auto &m = c.meta[s];
             a.u64(m.order);
@@ -269,20 +266,19 @@ struct CheckpointIO
     static void
     io(Ar &a, Ref<Ar, CoreSet> s, int capacity)
     {
-        std::int64_t cap = s.capacity();
+        a.expect(static_cast<std::uint64_t>(capacity),
+                 "core-set capacity differs from the configuration");
         std::int64_t n = s.count();
-        a.i64(cap);
         a.i64(n);
-        a.check(cap == capacity,
-                "core-set capacity differs from the configuration");
-        a.check(n >= 0 && n <= cap, "core-set member count out of range");
+        a.check(n >= 0 && n <= capacity,
+                "core-set member count out of range");
         if constexpr (Ar::kDecode) {
             s.resize(capacity);
             std::int64_t prev = -1;
             for (std::int64_t i = 0; i < n; ++i) {
                 std::int64_t c = 0;
                 a.i64(c);
-                if (c <= prev || c >= cap)
+                if (c <= prev || c >= capacity)
                     corrupt("core-set members not strictly ascending in "
                             "range");
                 s.add(static_cast<int>(c));
