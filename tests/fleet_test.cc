@@ -162,6 +162,54 @@ TEST(FleetSampling, CorruptSpecBlobIsRejected)
                  CheckpointError);
 }
 
+/** Expect @p plan to hit shards 0, 1, ... with exactly @p want. */
+void
+expectPlan(const FaultPlan &plan,
+           const std::vector<std::pair<FaultKind, std::uint64_t>> &want)
+{
+    ASSERT_EQ(plan.faults.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("shard " + std::to_string(i));
+        EXPECT_EQ(plan.faults[i].shard, static_cast<int>(i));
+        EXPECT_EQ(plan.faults[i].kind, want[i].first);
+        EXPECT_EQ(plan.faults[i].at_seq, want[i].second);
+    }
+}
+
+// The seeded plans are part of the replay contract: a CI seed logged
+// today must draw the same faults tomorrow. Each seed below draws every
+// kind of its set at least once.
+TEST(FaultPlanPin, RandomizedPlansAreStable)
+{
+    using K = FaultKind;
+    expectPlan(FaultPlan::randomized(1, 10, 4),
+               {{K::BitFlip, 2}, {K::WorkerException, 1}, {K::BitFlip, 4},
+                {K::WorkerException, 3}, {K::CrashAtCheckpoint, 4},
+                {K::Stall, 4}, {K::Truncate, 3}, {K::Truncate, 4},
+                {K::Stall, 3}, {K::Truncate, 2}});
+    expectPlan(FaultPlan::randomized(3, 10, 4),
+               {{K::WorkerException, 2}, {K::CrashAtCheckpoint, 3},
+                {K::CrashAtCheckpoint, 3}, {K::WorkerException, 2},
+                {K::WorkerException, 2}, {K::Stall, 3}, {K::BitFlip, 2},
+                {K::Truncate, 2}, {K::BitFlip, 4}, {K::BitFlip, 2}});
+}
+
+TEST(FaultPlanPin, RandomizedProcessPlansAreStable)
+{
+    using K = FaultKind;
+    expectPlan(FaultPlan::randomizedProcess(3, 10, 4),
+               {{K::WorkerException, 2}, {K::BitFlip, 2},
+                {K::CorruptPipe, 2}, {K::KillWorker, 4},
+                {K::CrashAtCheckpoint, 1}, {K::KillWorker, 1},
+                {K::Stall, 1}, {K::CorruptPipe, 2},
+                {K::CrashAtCheckpoint, 4}, {K::Truncate, 4}});
+    expectPlan(FaultPlan::randomizedProcess(8, 10, 4),
+               {{K::WorkerException, 1}, {K::CorruptPipe, 3},
+                {K::CrashAtCheckpoint, 4}, {K::Truncate, 1}, {K::Stall, 1},
+                {K::Truncate, 1}, {K::WorkerException, 4}, {K::BitFlip, 3},
+                {K::KillWorker, 1}, {K::BitFlip, 4}});
+}
+
 TEST(FleetRanges, CoverContiguousAndBalanced)
 {
     for (int devices : {1, 2, 5, 7, 64}) {
