@@ -1142,7 +1142,8 @@ ioError(const std::string &what)
     throw CheckpointError(CheckpointError::Kind::Io, what);
 }
 
-/** Read a whole file; empty optional-style flag on failure. */
+} // namespace
+
 bool
 readFileBytes(const std::string &path, std::vector<std::uint8_t> &out)
 {
@@ -1178,8 +1179,6 @@ writeFileAtomic(const std::string &path, const void *data,
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         ioError("cannot rename " + tmp + " to " + path);
 }
-
-} // namespace
 
 CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir))
 {

@@ -92,6 +92,21 @@ void validateCheckpoint(const ScenarioConfig &cfg,
                         const ScenarioCheckpoint &ck);
 
 /**
+ * Read the whole file @p path into @p out; false (never a throw) when
+ * it is missing or unreadable.
+ */
+bool readFileBytes(const std::string &path, std::vector<std::uint8_t> &out);
+
+/**
+ * Replace @p path with @p n bytes at @p data atomically: write
+ * `path.tmp`, then rename(2) it over @p path, so a reader sees the old
+ * contents or the new, never a torn file. Throws CheckpointError with
+ * Kind::Io on failure.
+ */
+void writeFileAtomic(const std::string &path, const void *data,
+                     std::size_t n);
+
+/**
  * Atomic checkpoint persistence for one scenario batch: one directory
  * holding per-shard checkpoint files plus a manifest per shard naming
  * the newest complete file. save() writes to a temporary name, fsyncs

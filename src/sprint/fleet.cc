@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -30,7 +29,7 @@ namespace csprint {
 
 namespace {
 
-constexpr std::uint32_t kFleetSpecVersion = 2;
+constexpr std::uint32_t kFleetSpecVersion = 3;
 constexpr std::uint32_t kFleetAggVersion = 1;
 
 /**
@@ -58,73 +57,10 @@ enum FrameType : std::uint32_t
     kFrameHello = 1,      ///< worker up: begin, end, attempt
     kFrameBeat = 2,       ///< heartbeat: device index
     kFrameFaultFired = 3, ///< one-shot fault index just fired
-    kFrameDeviceDone = 4, ///< device, recoveries, final checkpoint blob
+    kFrameDeviceDone = 4, ///< device, recovered flag, final checkpoint blob
     kFrameRangeDone = 5,  ///< sealed FleetAggregates of the range
     kFrameError = 6,      ///< human-readable failure message
 };
-
-std::uint32_t
-readLe32(const std::uint8_t *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-readLe64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-void
-writeLe64(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-[[noreturn]] void
-throwIo(const std::string &what)
-{
-    throw CheckpointError(CheckpointError::Kind::Io,
-                          what + (errno != 0
-                                      ? std::string(": ") +
-                                            std::strerror(errno)
-                                      : std::string()));
-}
-
-std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throwIo("cannot open " + path);
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad())
-        throwIo("cannot read " + path);
-    return bytes;
-}
-
-void
-writeFileBytes(const std::string &path,
-               const std::vector<std::uint8_t> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throwIo("cannot create " + path);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out)
-        throwIo("cannot write " + path);
-}
 
 /** Worker-side: write @p n bytes fully; the parent's death ends us. */
 void
@@ -179,24 +115,21 @@ tryParseFrame(std::vector<std::uint8_t> &buf, ParsedFrame &out)
 {
     if (buf.size() < 16)
         return 0;
-    const std::uint32_t magic = readLe32(buf.data());
-    const std::uint32_t type = readLe32(buf.data() + 4);
-    const std::uint64_t len = readLe64(buf.data() + 8);
-    if (magic != kFrameMagic)
+    BlobReader r(buf);
+    const std::uint32_t magic = r.u32();
+    const std::uint32_t type = r.u32();
+    const std::uint64_t len = r.u64();
+    if (magic != kFrameMagic || type < kFrameHello || type > kFrameError ||
+        len > kMaxFramePayload)
         return -1;
-    if (type < kFrameHello || type > kFrameError)
-        return -1;
-    if (len > kMaxFramePayload)
-        return -1;
-    if (buf.size() < 16 + len + 4)
+    if (r.remaining() < len + 4)
         return 0;
-    const std::uint32_t want = readLe32(buf.data() + 16 + len);
-    if (crc32(buf.data() + 16, static_cast<std::size_t>(len)) != want)
-        return -1;
     out.type = type;
-    out.payload.assign(buf.begin() + 16,
-                       buf.begin() + 16 + static_cast<long>(len));
-    buf.erase(buf.begin(), buf.begin() + 16 + static_cast<long>(len) + 4);
+    out.payload.resize(static_cast<std::size_t>(len));
+    r.bytes(out.payload.data(), out.payload.size());
+    if (crc32(out.payload.data(), out.payload.size()) != r.u32())
+        return -1;
+    buf.erase(buf.begin(), buf.begin() + static_cast<long>(r.position()));
     return 1;
 }
 
@@ -284,7 +217,6 @@ io(Ar &a, Ref<Ar, FleetSpec> spec)
         spec.num_devices = static_cast<int>(nd);
     }
     a.f64(spec.time_scale);
-    a.f64(spec.thermal_limit);
     a.vec(spec.classes, 8 * 20, [](auto &a2, auto &c) { io(a2, c); });
 }
 
@@ -354,6 +286,83 @@ io(Ar &a, Ref<Ar, FleetAggregates> agg)
 }
 
 } // namespace
+
+// --- Fault vocabulary -----------------------------------------------
+
+const char *
+faultKindName(FaultKind kind)
+{
+    switch (kind) {
+    case FaultKind::CrashAtCheckpoint:
+        return "crash-at-checkpoint";
+    case FaultKind::BitFlip:
+        return "bit-flip";
+    case FaultKind::Truncate:
+        return "truncate";
+    case FaultKind::WorkerException:
+        return "worker-exception";
+    case FaultKind::Stall:
+        return "stall";
+    case FaultKind::KillWorker:
+        return "kill-worker";
+    case FaultKind::CorruptPipe:
+        return "corrupt-pipe";
+    }
+    return "unknown";
+}
+
+bool
+faultKindIsProcessLevel(FaultKind kind)
+{
+    return kind == FaultKind::KillWorker ||
+           kind == FaultKind::CorruptPipe;
+}
+
+namespace {
+
+/**
+ * One fault per shard in [0, num_shards): a kind drawn from @p kinds,
+ * then a checkpoint in [1, max_seq]. The seed and the table order are
+ * part of the plan: equal seeds draw equal plans.
+ */
+FaultPlan
+drawFaultPlan(std::uint64_t seed, std::initializer_list<FaultKind> kinds,
+              int num_shards, std::uint64_t max_seq)
+{
+    FaultPlan plan;
+    Rng rng(seed);
+    max_seq = std::max<std::uint64_t>(max_seq, 1);
+    for (int shard = 0; shard < num_shards; ++shard) {
+        const FaultKind kind = kinds.begin()[rng.next() % kinds.size()];
+        plan.faults.push_back({shard, kind, 1 + rng.next() % max_seq});
+    }
+    return plan;
+}
+
+} // namespace
+
+FaultPlan
+FaultPlan::randomized(std::uint64_t seed, int num_shards,
+                      std::uint64_t max_seq)
+{
+    using K = FaultKind;
+    return drawFaultPlan(seed ^ 0xfa017ull,
+                         {K::CrashAtCheckpoint, K::BitFlip, K::Truncate,
+                          K::WorkerException, K::Stall},
+                         num_shards, max_seq);
+}
+
+FaultPlan
+FaultPlan::randomizedProcess(std::uint64_t seed, int num_shards,
+                             std::uint64_t max_seq)
+{
+    using K = FaultKind;
+    return drawFaultPlan(seed ^ 0xf1ee7ull,
+                         {K::CrashAtCheckpoint, K::BitFlip, K::Truncate,
+                          K::WorkerException, K::KillWorker, K::Stall,
+                          K::CorruptPipe},
+                         num_shards, max_seq);
+}
 
 // --- Spec validation and sampling -----------------------------------
 
@@ -462,14 +471,6 @@ fleetDeviceConfig(const FleetSpec &spec, int device)
     // The fleet quantiles fold per-task response times.
     cfg.keep_task_results = true;
     return cfg;
-}
-
-Celsius
-fleetDeviceThermalLimit(const FleetSpec &spec, const ScenarioConfig &cfg)
-{
-    if (spec.thermal_limit > 0.0)
-        return spec.thermal_limit;
-    return cfg.platform.package.t_junction_max;
 }
 
 std::uint32_t
@@ -631,9 +632,6 @@ FleetResult::allOk() const
 std::string
 defaultFleetWorkerPath()
 {
-    if (const char *env = std::getenv("CSPRINT_FLEET_WORKER"))
-        if (*env != '\0')
-            return env;
     char exe[4096];
     const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
     if (n > 0) {
@@ -653,12 +651,12 @@ defaultFleetWorkerPath()
 // --- One range loop, one supervision semantics ----------------------
 //
 // Both transports run a device range through runFleetRange() and
-// supervise it by the same rules: up to max_retries retries per
-// range with retryBackoffSeconds() backoff, each retry resuming every
-// device from the store, and degrade-not-drop result assembly. They
-// differ only in how a range attempt is started and stopped
-// (std::thread + cancel flag vs. fork/exec + SIGKILL) and in how an
-// injected fault ends it (a throw vs. _exit/SIGKILL).
+// supervise it by the same rules: up to max_retries immediate retries
+// per range, each resuming every device from the store, and
+// degrade-not-drop result assembly. They differ only in how a range
+// attempt is started and stopped (std::thread + cancel flag vs.
+// fork/exec + SIGKILL) and in how an injected fault ends it (a throw
+// vs. _exit/SIGKILL).
 
 namespace {
 
@@ -697,6 +695,24 @@ struct FiredFaults
     }
 };
 
+/**
+ * Damage the persisted checkpoint @p path as @p kind does: BitFlip
+ * flips one bit in its middle (bit rot), Truncate cuts it to half its
+ * length (a torn write).
+ */
+void
+damageCheckpointFile(const std::string &path, FaultKind kind)
+{
+    std::vector<std::uint8_t> bytes;
+    if (!readFileBytes(path, bytes) || bytes.empty())
+        return;
+    if (kind == FaultKind::BitFlip)
+        bytes[bytes.size() / 2] ^= 0x10;
+    else
+        bytes.resize(bytes.size() / 2);
+    writeFileAtomic(path, bytes.data(), bytes.size());
+}
+
 /** How a transport watches a range attempt and ends it on a fault. */
 struct RangeSink
 {
@@ -709,16 +725,23 @@ struct RangeSink
      */
     std::function<void(int fault, FaultKind kind, std::uint64_t seq)> die;
 
-    /** @p device finished with final checkpoint @p blob and @p result. */
+    /**
+     * @p device finished with final checkpoint @p blob and @p result;
+     * @p recovered when it resumed from a stored checkpoint.
+     */
     std::function<void(int device, std::vector<std::uint8_t> &blob,
-                       std::uint64_t recoveries, ScenarioResult &result)>
+                       bool recovered, ScenarioResult &result)>
         device_done;
 };
 
 /**
- * Run devices [begin, end) of @p spec to completion in device order,
- * each resuming from @p store, and fold them into the range's
- * aggregates. Faults of @p faults fire at their checkpoints.
+ * Run devices [begin, end) of @p spec to completion in device order
+ * and fold them into the range's aggregates. Each device recovers
+ * from the newest checkpoint in @p store that deserializes cleanly
+ * (corrupt or truncated candidates are rejected by their CRC or
+ * structure checks and the retained predecessor used instead),
+ * advances in checkpoint-sized slices, and persists every boundary.
+ * Faults of @p faults fire at their checkpoints.
  */
 FleetAggregates
 runFleetRange(const FleetSpec &spec, int begin, int end,
@@ -727,30 +750,73 @@ runFleetRange(const FleetSpec &spec, int begin, int end,
 {
     FleetAggregates agg;
     for (int device = begin; device < end; ++device) {
-        const ScenarioConfig cfg = fleetDeviceConfig(spec, device);
+        ScenarioConfig cfg = fleetDeviceConfig(spec, device);
+        // Paranoia validates every boundary inside advanceScenario;
+        // the config digest excludes it, so the bytes do not change.
+        cfg.validate_checkpoints = opts.paranoia;
         const auto fire = [&](std::uint64_t seq, bool before) {
             const int i = faults.claim(device, seq, before);
             if (i < 0)
                 return;
             const FaultKind kind =
                 faults.plan.faults[static_cast<std::size_t>(i)].kind;
-            if (kind == FaultKind::BitFlip)
-                faultFlipBitInFile(store.checkpointPath(device, seq));
-            else if (kind == FaultKind::Truncate)
-                faultTruncateFile(store.checkpointPath(device, seq));
+            if (kind == FaultKind::BitFlip || kind == FaultKind::Truncate)
+                damageCheckpointFile(store.checkpointPath(device, seq),
+                                     kind);
             sink.die(i, kind, seq);
         };
 
-        ShardProgress progress;
+        ScenarioCheckpoint ck;
+        std::uint64_t seq = 0;
+        bool recovered = false;
+        for (CheckpointStore::Candidate &cand : store.loadCandidates(device)) {
+            try {
+                ck = deserializeCheckpoint(cfg, cand.blob);
+                seq = cand.seq;
+                recovered = true;
+                break;
+            } catch (const CheckpointError &) {
+                // fall through to the next (older) candidate
+            }
+        }
+        if (!recovered)
+            ck = beginScenario(cfg);
+
+        // A device recovered at its final checkpoint persists nothing
+        // below; its final blob is the recovered candidate re-serialized
+        // (bit-identical: the round-trip is exact), so the parent of
+        // either transport digests the same bytes.
         std::vector<std::uint8_t> blob;
-        ScenarioResult result = runShardToCompletion(
-            cfg, device, store, opts.checkpoint_every_tasks,
-            opts.paranoia, [&] { sink.beat(device); },
-            [&](std::uint64_t seq) { fire(seq, true); },
-            [&](std::uint64_t seq) { fire(seq, false); }, progress,
-            &blob);
-        agg.foldDevice(result, fleetDeviceThermalLimit(spec, cfg));
-        sink.device_done(device, blob, progress.recoveries, result);
+        if (ck.done)
+            blob = serializeCheckpoint(cfg, ck);
+
+        // Monotonicity gates: a resumed trajectory must only move
+        // forward. A violation means the serializer or the engine lost
+        // state, and retrying would silently produce wrong numbers.
+        while (!ck.done) {
+            const double prev_now = ck.now;
+            const std::uint64_t prev_completed = ck.tasks_completed;
+            const double prev_energy = ck.total_energy;
+            sink.beat(device);
+            advanceScenario(cfg, ck, opts.checkpoint_every_tasks);
+            sink.beat(device);
+            if (ck.now < prev_now - 1e-12 ||
+                ck.tasks_completed < prev_completed ||
+                ck.total_energy < prev_energy - 1e-12)
+                throw CheckpointError(
+                    CheckpointError::Kind::Invariant,
+                    "device " + std::to_string(device) +
+                        " moved backwards across a checkpoint boundary");
+
+            blob = serializeCheckpoint(cfg, ck);
+            ++seq;
+            fire(seq, true);
+            store.save(device, seq, blob);
+            fire(seq, false);
+        }
+        ScenarioResult result = finishScenario(cfg, std::move(ck));
+        agg.foldDevice(result, cfg.platform.package.t_junction_max);
+        sink.device_done(device, blob, recovered, result);
     }
     return agg;
 }
@@ -779,8 +845,8 @@ rangeStates(const FleetSpec &spec, const FleetOptions &opts)
 
 /**
  * Record a failed attempt of @p r. A range whose retries are spent
- * degrades; otherwise the retry is counted and its backoff slept, and
- * true tells the caller to start the next attempt.
+ * degrades; otherwise the retry is counted, and true tells the caller
+ * to start the next attempt.
  */
 bool
 retryRange(RangeState &r, const std::string &why, const FleetOptions &opts)
@@ -792,10 +858,6 @@ retryRange(RangeState &r, const std::string &why, const FleetOptions &opts)
         return false;
     }
     ++r.stats.respawns;
-    const double s =
-        retryBackoffSeconds(opts.backoff_initial, r.stats.respawns);
-    if (s > 0.0)
-        std::this_thread::sleep_for(std::chrono::duration<double>(s));
     return true;
 }
 
@@ -817,8 +879,8 @@ assembleFleet(const FleetSpec &spec, const FleetOptions &opts,
                     devices[static_cast<std::size_t>(d)];
                 if (out.completed)
                     r.agg.foldDevice(out.result,
-                                     fleetDeviceThermalLimit(
-                                         spec, fleetDeviceConfig(spec, d)));
+                                     fleetDeviceConfig(spec, d)
+                                         .platform.package.t_junction_max);
                 else
                     r.agg.foldDegradedDevice();
             }
@@ -834,6 +896,18 @@ assembleFleet(const FleetSpec &spec, const FleetOptions &opts,
 }
 
 // --- Thread transport -----------------------------------------------
+
+/** Thrown in a range thread by an injected fault. */
+struct SimulatedCrash : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** Thrown in a range thread the watchdog cancelled (stale heartbeat). */
+struct WatchdogTimeout : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /** One attempt at a range on its own thread, watched by the parent. */
 struct RangeThread
@@ -925,7 +999,7 @@ runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
                 sink.device_done = [&devices, t](
                                        int device,
                                        std::vector<std::uint8_t> &blob,
-                                       std::uint64_t recoveries,
+                                       bool recovered,
                                        ScenarioResult &result) {
                     FleetDeviceOutcome &out =
                         devices[static_cast<std::size_t>(device)];
@@ -933,7 +1007,7 @@ runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
                     out.checkpoint_digest =
                         crc32(blob.data(), blob.size());
                     out.result = std::move(result);
-                    t->recoveries += recoveries;
+                    t->recoveries += recovered ? 1 : 0;
                 };
                 t->agg = runFleetRange(spec, begin, end, faults, store,
                                        opts, sink);
@@ -1049,8 +1123,11 @@ fleetWorkerMain(int argc, char **argv)
         FleetSpec spec;
         FaultPlan plan;
         FleetOptions wopts;
-        deserializeFleetSpec(readFileBytes(spec_path), spec, plan,
-                             wopts);
+        std::vector<std::uint8_t> spec_blob;
+        if (!readFileBytes(spec_path, spec_blob))
+            throw CheckpointError(CheckpointError::Kind::Io,
+                                  "cannot read " + spec_path);
+        deserializeFleetSpec(spec_blob, spec, plan, wopts);
         if (end > spec.num_devices)
             throw std::invalid_argument(
                 "fleet worker: range exceeds the device count");
@@ -1097,13 +1174,12 @@ fleetWorkerMain(int argc, char **argv)
         };
         sink.device_done = [out_fd](int device,
                                     std::vector<std::uint8_t> &blob,
-                                    std::uint64_t recoveries,
-                                    ScenarioResult &) {
-            std::vector<std::uint8_t> payload(16 + blob.size());
-            writeLe64(payload.data(), static_cast<std::uint64_t>(device));
-            writeLe64(payload.data() + 8, recoveries);
-            std::memcpy(payload.data() + 16, blob.data(), blob.size());
-            sendFrame(out_fd, kFrameDeviceDone, payload);
+                                    bool recovered, ScenarioResult &) {
+            BlobWriter w;
+            w.u64(static_cast<std::uint64_t>(device));
+            w.boolean(recovered);
+            w.bytes(blob.data(), blob.size());
+            sendFrame(out_fd, kFrameDeviceDone, w.buffer());
         };
         const FleetAggregates agg =
             runFleetRange(spec, begin, end, faults, store, wopts, sink);
@@ -1150,7 +1226,7 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             CheckpointError::Kind::Io,
             "fleet worker binary not executable: " + worker_path +
                 " (build csprint-fleet-worker or set "
-                "CSPRINT_FLEET_WORKER)");
+                "FleetOptions::worker_path)");
 
     std::error_code ec;
     std::filesystem::create_directories(opts.store_dir, ec);
@@ -1159,7 +1235,9 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                               "cannot create store directory " +
                                   opts.store_dir + ": " + ec.message());
     const std::string spec_path = opts.store_dir + "/fleet.spec";
-    writeFileBytes(spec_path, serializeFleetSpec(spec, plan, opts));
+    const std::vector<std::uint8_t> spec_blob =
+        serializeFleetSpec(spec, plan, opts);
+    writeFileAtomic(spec_path, spec_blob.data(), spec_blob.size());
 
     std::vector<char> fired(plan.faults.size(), 0);
     std::vector<std::vector<std::uint8_t>> device_blobs(
@@ -1200,12 +1278,17 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
 
         int fds[2];
         if (::pipe(fds) != 0)
-            throwIo("cannot create worker pipe");
+            throw CheckpointError(CheckpointError::Kind::Io,
+                                  std::string("cannot create worker pipe: ") +
+                                      std::strerror(errno));
         const pid_t pid = ::fork();
         if (pid < 0) {
+            const int err = errno;
             ::close(fds[0]);
             ::close(fds[1]);
-            throwIo("cannot fork fleet worker");
+            throw CheckpointError(CheckpointError::Kind::Io,
+                                  std::string("cannot fork fleet worker: ") +
+                                      std::strerror(err));
         }
         if (pid == 0) {
             // Move the read end off fd 3 first: pipe() hands out the
@@ -1276,22 +1359,23 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             case kFrameFaultFired: {
                 if (f.payload.size() != 8)
                     return false;
-                const std::uint64_t idx = readLe64(f.payload.data());
+                const std::uint64_t idx = BlobReader(f.payload).u64();
                 if (idx < fired.size())
                     fired[static_cast<std::size_t>(idx)] = 1;
                 break;
             }
             case kFrameDeviceDone: {
-                if (f.payload.size() < 16)
+                if (f.payload.size() < 9)
                     return false;
-                const std::uint64_t device =
-                    readLe64(f.payload.data());
+                BlobReader r(f.payload);
+                const std::uint64_t device = r.u64();
                 if (device < static_cast<std::uint64_t>(ws.range_begin) ||
                     device >= static_cast<std::uint64_t>(ws.range_end))
                     return false;
-                ws.recoveries += readLe64(f.payload.data() + 8);
+                ws.recoveries += r.boolean() ? 1 : 0;
                 device_blobs[static_cast<std::size_t>(device)].assign(
-                    f.payload.begin() + 16, f.payload.end());
+                    f.payload.begin() + static_cast<long>(r.position()),
+                    f.payload.end());
                 break;
             }
             case kFrameRangeDone:

@@ -8,16 +8,19 @@
  * (sprint/checkpoint.hh) for all persisted and in-flight state.
  *
  * One driver, two transports. Both run each range through the same
- * device loop (runShardToCompletion per device, folded in device
- * order), persist crash-safe checkpoints into one CheckpointStore
- * directory, and supervise alike: a parent-side watchdog cancels a
- * range whose heartbeat goes stale, a failed range attempt is retried
- * up to max_retries times with exponential backoff, resuming every
- * device from its newest valid persisted checkpoint, and a range that
- * exhausts its retries is degraded, not dropped: devices whose final
- * checkpoints already arrived still count, the rest are tallied as
- * degraded devices. The transports differ only in how an attempt is
- * started and stopped, and in how an injected fault ends it:
+ * device loop: every device recovers from the newest valid checkpoint
+ * in one CheckpointStore directory (a corrupt candidate is rejected by
+ * its CRC and the retained predecessor used instead), advances in
+ * checkpoint-sized slices that may only move forward, persists every
+ * boundary, and folds into the range's aggregates in device order.
+ * Both supervise alike: a parent-side watchdog cancels a range whose
+ * heartbeat goes stale, a failed range attempt is retried at once up
+ * to max_retries times, resuming every device from its newest valid
+ * persisted checkpoint, and a range that exhausts its retries is
+ * degraded, not dropped: devices whose final checkpoints already
+ * arrived still count, the rest are tallied as degraded devices. The
+ * transports differ only in how an attempt is started and stopped,
+ * and in how an injected fault ends it:
  *
  *  - runFleetInProcess() runs one std::thread per range; the watchdog
  *    sets a cancel flag the range observes at its next heartbeat, and
@@ -29,11 +32,18 @@
  *    SIGKILLs a silent worker, and an injected fault _exits, SIGKILLs
  *    itself, stalls, or corrupts its pipe.
  *
- * Determinism gates (tests/fleet_fault_test.cc, `report --check fleet`):
- * the multi-process run equals the in-process run bit-for-bit on
- * every shared aggregate field and per-device checkpoint digest, and
- * a run faulted at a random checkpoint equals the uninterrupted run
- * bit-for-bit after recovery — both under a rotating seed.
+ * Fault injection is first-class and seed-deterministic: a FaultPlan
+ * names, per device, which checkpoint sequence number triggers which
+ * FaultKind. Faults are one-shot — a retried range does not meet a
+ * fault that already fired — mirroring transient real-world failures.
+ *
+ * Determinism gates (tests/faultinject_test.cc,
+ * tests/fleet_fault_test.cc, `report --check faultinject,fleet`):
+ * because checkpoints capture the full trajectory, a run faulted at a
+ * random checkpoint equals the uninterrupted run bit-for-bit after
+ * recovery, and the multi-process run equals the in-process run
+ * bit-for-bit on every shared aggregate field and per-device
+ * checkpoint digest — both under a rotating seed.
  *
  * Aggregates are mergeable: each range folds into a FleetAggregates
  * (counters, maxima, and streaming P² response quantiles with a
@@ -52,9 +62,107 @@
 
 #include "common/stats.hh"
 #include "sprint/scenario.hh"
-#include "sprint/supervisor.hh"
 
 namespace csprint {
+
+/** The failure modes the fleet driver can inject and recover from. */
+enum class FaultKind
+{
+    /**
+     * The worker dies immediately before persisting a checkpoint:
+     * recovery resumes from the previous persisted one and replays
+     * the lost slice.
+     */
+    CrashAtCheckpoint,
+
+    /**
+     * The checkpoint is persisted, one bit of the file is flipped
+     * (bit rot / torn storage), and the worker dies: recovery must
+     * reject the corrupt file via its CRC and fall back to the
+     * retained predecessor.
+     */
+    BitFlip,
+
+    /**
+     * The persisted checkpoint loses its tail (partial write that
+     * survived a rename-less filesystem): recovery must reject the
+     * truncated file and fall back.
+     */
+    Truncate,
+
+    /**
+     * The worker fails mid-run (a bug, a resource failure): a range
+     * thread throws, a worker process reports the error and exits.
+     * The range is retried from the last checkpoint.
+     */
+    WorkerException,
+
+    /**
+     * The worker stops making progress without dying: the watchdog
+     * must notice the stale heartbeat, cancel the range thread or
+     * SIGKILL the worker process, and retry.
+     */
+    Stall,
+
+    // --- Process-level kinds (Unsupported on the thread transport) ---
+
+    /**
+     * The worker process SIGKILLs itself right after persisting the
+     * checkpoint — the real uncatchable kill, no destructors, no
+     * flushes. The parent must reap it and respawn the shard range,
+     * resuming from the newest valid persisted checkpoint.
+     */
+    KillWorker,
+
+    /**
+     * The worker writes a garbage frame onto the result pipe (torn
+     * protocol state): the parent must reject the frame by its
+     * magic/CRC, kill the worker, and respawn it.
+     */
+    CorruptPipe,
+};
+
+/** Human-readable name of @p kind (for logs and reports). */
+const char *faultKindName(FaultKind kind);
+
+/** True for the kinds only the process transport can inject. */
+bool faultKindIsProcessLevel(FaultKind kind);
+
+/**
+ * One injected fault: fires when device @p shard persists checkpoint
+ * @p at_seq.
+ */
+struct FaultSpec
+{
+    int shard = 0;
+    FaultKind kind = FaultKind::CrashAtCheckpoint;
+    std::uint64_t at_seq = 1;
+};
+
+/** A deterministic set of one-shot faults for a fleet run. */
+struct FaultPlan
+{
+    std::vector<FaultSpec> faults;
+
+    /**
+     * A seed-derived plan that hits every shard in [0, num_shards)
+     * with one fault of a seed-chosen thread-transport kind at a
+     * seed-chosen checkpoint in [1, max_seq]. Equal seeds yield equal
+     * plans.
+     */
+    static FaultPlan randomized(std::uint64_t seed, int num_shards,
+                                std::uint64_t max_seq);
+
+    /**
+     * Like randomized(), but drawing from the full kind set including
+     * the process-level faults (KillWorker / CorruptPipe) — for the
+     * fleet driver's process transport, which recovers from all of
+     * them.
+     */
+    static FaultPlan randomizedProcess(std::uint64_t seed,
+                                       int num_shards,
+                                       std::uint64_t max_seq);
+};
 
 /**
  * One device class of the fleet: the knob ranges a device of this
@@ -101,12 +209,6 @@ struct FleetSpec
     int num_devices = 64;
     std::vector<FleetDeviceClass> classes;
     double time_scale = kDefaultTimeScale;
-    /**
-     * Junction temperature above which a device counts as a thermal
-     * violation in the fleet aggregates; 0 (the default) uses each
-     * device's own package t_junction_max.
-     */
-    Celsius thermal_limit = 0.0;
 };
 
 /** Throw std::invalid_argument when @p spec is not runnable. */
@@ -122,13 +224,6 @@ void validateFleetSpec(const FleetSpec &spec);
  * response times).
  */
 ScenarioConfig fleetDeviceConfig(const FleetSpec &spec, int device);
-
-/**
- * The thermal-violation threshold of device @p device: the spec's
- * thermal_limit when positive, else @p cfg's package t_junction_max.
- */
-Celsius fleetDeviceThermalLimit(const FleetSpec &spec,
-                                const ScenarioConfig &cfg);
 
 /**
  * CRC32 digest over a canonical dump of @p spec's value fields; seals
@@ -166,7 +261,7 @@ struct FleetAggregates
     std::uint64_t sprints_denied = 0;
     std::uint64_t hardware_throttles = 0;
     std::uint64_t melt_cycles = 0;        ///< sprint/rest cycles summed
-    std::uint64_t thermal_violations = 0; ///< devices over their limit
+    std::uint64_t thermal_violations = 0; ///< devices over t_junction_max
 
     Celsius peak_junction = 0.0;   ///< hottest junction fleet-wide
     double peak_melt = 0.0;        ///< largest PCM melt fraction seen
@@ -215,9 +310,6 @@ struct FleetOptions
     /** Retries allowed per range before it degrades. */
     int max_retries = 3;
 
-    /** Respawn r sleeps backoff_initial * 2^(r-1) seconds (0 = none). */
-    double backoff_initial = 0.0;
-
     /** Seconds without a heartbeat before the parent cancels a range. */
     double watchdog_deadline = 30.0;
 
@@ -225,9 +317,8 @@ struct FleetOptions
     std::string store_dir;
 
     /**
-     * Worker binary path. Empty resolves CSPRINT_FLEET_WORKER from
-     * the environment, then csprint-fleet-worker next to the running
-     * executable (the build tree layout).
+     * Worker binary path. Empty resolves csprint-fleet-worker next to
+     * the running executable (the build tree layout), then on PATH.
      */
     std::string worker_path;
 
@@ -308,9 +399,8 @@ int fleetWorkerMain(int argc, char **argv);
 
 /**
  * The worker binary the parent will exec when FleetOptions::
- * worker_path is empty: $CSPRINT_FLEET_WORKER, else
- * csprint-fleet-worker beside /proc/self/exe, else bare
- * "csprint-fleet-worker" (PATH).
+ * worker_path is empty: csprint-fleet-worker beside /proc/self/exe,
+ * else bare "csprint-fleet-worker" (PATH).
  */
 std::string defaultFleetWorkerPath();
 

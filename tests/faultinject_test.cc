@@ -1,7 +1,7 @@
 /**
  * Fault-injection tests for the fleet driver's thread transport
- * (runFleetInProcess, sprint/fleet.hh) over the shared shard core
- * (sprint/supervisor.hh). The headline gate: for every thread-level
+ * (runFleetInProcess, sprint/fleet.hh) over its per-device recover,
+ * advance and persist loop. The headline gate: for every thread-level
  * FaultKind, a device that crashes, corrupts its newest checkpoint,
  * throws, or stalls — and is then recovered from persisted state —
  * finishes with aggregates and traces bit-identical to an
@@ -23,7 +23,6 @@
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
-#include "sprint/supervisor.hh"
 #include "workloads/workload.hh"
 
 namespace csprint {

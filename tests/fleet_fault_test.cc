@@ -32,7 +32,6 @@
 #include "sprint/compare.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
-#include "sprint/supervisor.hh"
 
 namespace csprint {
 namespace {

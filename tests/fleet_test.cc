@@ -162,6 +162,26 @@ TEST(FleetSampling, CorruptSpecBlobIsRejected)
                  CheckpointError);
 }
 
+TEST(FleetSampling, Version2SpecIsRejected)
+{
+    // Version 2 carried one more spec field; this build reads only
+    // version 3, and says so by kind rather than misreading the fields.
+    const auto blob = serializeFleetSpec(smallFleet(3, 4), {}, {});
+    std::vector<std::uint8_t> payload = fuzz::payloadOf(blob);
+    ASSERT_EQ(payload[0], 3u);
+    payload[0] = 2;
+    const auto old = BlobContainer::seal(fuzz::digestOf(blob), payload);
+    FleetSpec out;
+    FaultPlan plan;
+    FleetOptions opts;
+    try {
+        deserializeFleetSpec(old, out, plan, opts);
+        FAIL() << "a version-2 spec decoded";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(e.kind(), CheckpointError::Kind::BadVersion) << e.what();
+    }
+}
+
 /** Expect @p plan to hit shards 0, 1, ... with exactly @p want. */
 void
 expectPlan(const FaultPlan &plan,
