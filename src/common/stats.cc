@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/blob.hh"
 #include "common/logging.hh"
 
 namespace csprint {
@@ -212,10 +213,14 @@ P2Quantile::save(double *out) const
 void
 P2Quantile::restore(const double *in)
 {
+    // The count must convert to size_t exactly: a double past 2^53 (or
+    // a NaN) is no count save() wrote.
+    if (!(in[0] > 0.0 && in[0] < 1.0))
+        corrupt("restored quantile must be in (0, 1)");
+    if (!(in[1] >= 0.0 && in[1] <= 9007199254740992.0))
+        corrupt("restored quantile sample count out of range");
     q_ = *in++;
     n = static_cast<std::size_t>(*in++);
-    SPRINT_ASSERT(q_ > 0.0 && q_ < 1.0,
-                  "restored quantile must be in (0, 1)");
     for (int i = 0; i < 5; ++i)
         height[i] = *in++;
     for (int i = 0; i < 5; ++i)

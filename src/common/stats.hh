@@ -106,7 +106,11 @@ class P2Quantile
      */
     void save(double *out) const;
 
-    /** Restore exactly what save() produced. */
+    /**
+     * Restore exactly what save() produced. Throws CheckpointError
+     * (Kind::Corrupt) on a quantile outside (0, 1) or a sample count
+     * that is not a non-negative integer below 2^53.
+     */
     void restore(const double *in);
 
   private:

@@ -594,8 +594,18 @@ struct CheckpointIO
                 t.buf_pos = 0;
                 t.buf_len = window;
             }
-            for (std::size_t i = t.buf_pos; i < t.buf_len; ++i)
+            // Each word must be an op the machine can execute: a known
+            // kind, and a lock id within the machine's sanity bound.
+            for (std::size_t i = t.buf_pos; i < t.buf_len; ++i) {
+                const MicroOp &op = t.buf[i];
                 a.u64(t.buf[i].bits);
+                a.check((op.bits >> 56) < kNumOpKinds,
+                        "op window word with an unknown op kind");
+                a.check((op.kind() != OpKind::LockAcquire &&
+                         op.kind() != OpKind::LockRelease) ||
+                            op.addr() < Machine::kMaxLockId,
+                        "op window lock id out of range");
+            }
         }
         a.expect(m.cores.size(), "core count differs from the configuration");
         for (auto &c : m.cores) {
@@ -1120,6 +1130,14 @@ deserializeCheckpoint(const ScenarioConfig &cfg,
     ScenarioCheckpoint ck;
     CheckpointIO::io(d, cfg, ck);
     d.r.expectEnd();
+    // Restore the policy state once into the config's policy, as the
+    // engine will on resume, so a malformed state fails here.
+    if (!ck.policy_state.empty()) {
+        const std::unique_ptr<SprintPolicy> policy =
+            cfg.policy_factory ? cfg.policy_factory()
+                               : makeSprintPolicy(cfg.policy);
+        policy->restoreState(ck.policy_state);
+    }
     return ck;
 }
 

@@ -251,10 +251,7 @@ io(Ar &a, Ref<Ar, P2Quantile> q, double quantile)
     for (double &v : st)
         a.f64(v);
     if constexpr (Ar::kDecode) {
-        // The count must convert to size_t exactly: a double past 2^53
-        // (or past size_t) is no count P2Quantile::save wrote.
-        if (st[0] != quantile || !(st[1] >= 0.0) ||
-            !(st[1] <= 9007199254740992.0))
+        if (st[0] != quantile)
             corrupt("fleet aggregates: malformed quantile state");
         q.restore(st);
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/blob.hh"
 #include "common/logging.hh"
 #include "sprint/pacing.hh"
 
@@ -159,8 +160,8 @@ AdaptiveHeadroomPolicy::saveState() const
 void
 AdaptiveHeadroomPolicy::restoreState(const std::vector<double> &state)
 {
-    SPRINT_ASSERT(state.size() == 1,
-                  "adaptive-headroom state is one double");
+    if (state.size() != 1)
+        corrupt("adaptive-headroom state is one double");
     cold_budget = state[0];
 }
 
@@ -270,8 +271,8 @@ QosPolicy::saveState() const
 void
 QosPolicy::restoreState(const std::vector<double> &state)
 {
-    SPRINT_ASSERT(state.size() == ServiceEstimator::kStateSize,
-                  "qos state is the estimator's cells");
+    if (state.size() != ServiceEstimator::kStateSize)
+        corrupt("qos state is the estimator's cells");
     est.restore(state.data());
 }
 
@@ -400,9 +401,9 @@ ModelPredictivePolicy::saveState() const
 void
 ModelPredictivePolicy::restoreState(const std::vector<double> &state)
 {
-    SPRINT_ASSERT(state.size() == ServiceEstimator::kStateSize + 1,
-                  "model-predictive state is the estimator plus the "
-                  "cold budget");
+    if (state.size() != ServiceEstimator::kStateSize + 1)
+        corrupt("model-predictive state is the estimator plus the cold "
+                "budget");
     est.restore(state.data());
     cold_budget = state[ServiceEstimator::kStateSize];
 }

@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -620,6 +622,140 @@ TEST(CheckpointFuzz, ResealedMutationsFailTyped)
             deserializeCheckpoint(seeds[which].cfg, blob);
         });
     EXPECT_GT(rep.rejected, 0);
+}
+
+// --- Regressions: blobs that decoded, then aborted the resume ----------
+//
+// Found by advancing every successfully decoded fuzz case to completion:
+// the decoder accepted state the engine cannot run, so the process
+// aborted in a SPRINT_ASSERT/SPRINT_PANIC on resume instead of failing
+// the load. Each case below damages one field of a real checkpoint the
+// same way and must now fail at decode, as Kind::Corrupt.
+
+/** @p blob re-sealed after @p edit changed its payload. */
+template <class Edit>
+std::vector<std::uint8_t>
+resealed(const std::vector<std::uint8_t> &blob, Edit &&edit)
+{
+    std::vector<std::uint8_t> p = fuzz::payloadOf(blob);
+    edit(p);
+    return BlobContainer::seal(fuzz::digestOf(blob), std::move(p));
+}
+
+/** "kind: message" of decoding @p blob under @p cfg; "" when it loads. */
+std::string
+decodeError(const ScenarioConfig &cfg, const std::vector<std::uint8_t> &blob)
+{
+    try {
+        deserializeCheckpoint(cfg, blob);
+        return "";
+    } catch (const CheckpointError &e) {
+        return std::string(CheckpointError::kindName(e.kind())) + ": " +
+               e.what();
+    }
+}
+
+/** Expect @p err to be a Corrupt rejection mentioning @p what. */
+void
+expectCorrupt(const std::string &err, const char *what)
+{
+    EXPECT_EQ(err.rfind(std::string(CheckpointError::kindName(
+                            CheckpointError::Kind::Corrupt)) +
+                            ": ",
+                        0),
+              0u)
+        << err;
+    EXPECT_NE(err.find(what), std::string::npos) << err;
+}
+
+/** Offsets of every occurrence of @p pattern in @p bytes. */
+std::vector<std::size_t>
+occurrences(const std::vector<std::uint8_t> &bytes,
+            const std::vector<std::uint8_t> &pattern)
+{
+    std::vector<std::size_t> at;
+    for (auto it = bytes.begin();
+         (it = std::search(it, bytes.end(), pattern.begin(),
+                           pattern.end())) != bytes.end();
+         ++it)
+        at.push_back(static_cast<std::size_t>(it - bytes.begin()));
+    return at;
+}
+
+TEST(CheckpointRegression, DamagedOpWindowWordIsRejected)
+{
+    // Was: `panic: unknown op kind` (machine.cc) on resume. A Branch op
+    // carries no address, so its word is seven zero bytes and then the
+    // kind; the first such word the decoder reads as an op is the one.
+    const FuzzSeed seed = fuzzSeedAt(preemptiveScenario(4), 2);
+    const std::vector<std::uint8_t> payload = fuzz::payloadOf(seed.blob);
+    const std::uint8_t branch = static_cast<std::uint8_t>(OpKind::Branch);
+    std::size_t word = payload.size();
+    for (std::size_t at :
+         occurrences(payload, {0, 0, 0, 0, 0, 0, 0, branch})) {
+        const auto bad_kind = [at](std::vector<std::uint8_t> &p) {
+            p[at + 7] = 0xff;
+        };
+        if (decodeError(seed.cfg, resealed(seed.blob, bad_kind))
+                .find("unknown op kind") != std::string::npos) {
+            word = at;
+            break;
+        }
+    }
+    ASSERT_LT(word, payload.size())
+        << "no op-window word whose damage the decoder rejects";
+
+    // The same word as a lock acquire past the machine's 2^20 lock-id
+    // bound (was: `lock id out of sanity range` on resume).
+    const auto bad_lock = [word](std::vector<std::uint8_t> &p) {
+        fuzz::storeU64(p, word, MicroOp::lockAcquire(1u << 21).bits);
+    };
+    expectCorrupt(decodeError(seed.cfg, resealed(seed.blob, bad_lock)),
+                  "lock id out of range");
+}
+
+TEST(CheckpointRegression, MalformedPolicyStateIsRejected)
+{
+    // Was: `restored quantile must be in (0, 1)` (stats.cc) or a
+    // wrong-sized state aborting in the policy's restoreState on resume.
+    // The Qos policy's state is its service estimator: per cell the
+    // running sum, the count, then the P2 state (quantile first).
+    ScenarioConfig cfg = preemptiveScenario(4);
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 2);
+    ASSERT_EQ(ck.policy_state.size(), ServiceEstimator::kStateSize);
+    ASSERT_EQ(ck.policy_state[2], 0.95);
+    const std::vector<std::uint8_t> blob = serializeCheckpoint(cfg, ck);
+
+    // Find the state by its own encoding: a length, then the values.
+    BlobWriter state;
+    state.sz(ck.policy_state.size());
+    for (double v : ck.policy_state)
+        state.f64(v);
+    const std::vector<std::size_t> found =
+        occurrences(fuzz::payloadOf(blob), state.buffer());
+    ASSERT_EQ(found.size(), 1u);
+    const std::size_t at = found[0];
+
+    for (double bad : {1.5, 0.0, std::nan("")}) {
+        SCOPED_TRACE("quantile " + std::to_string(bad));
+        const auto bad_quantile = [at, bad](std::vector<std::uint8_t> &p) {
+            std::uint64_t bits;
+            std::memcpy(&bits, &bad, sizeof(bits));
+            fuzz::storeU64(p, at + 8 + 2 * 8, bits);
+        };
+        expectCorrupt(decodeError(cfg, resealed(blob, bad_quantile)),
+                      "quantile must be in (0, 1)");
+    }
+
+    // One state word short: the length and the values shrink together.
+    const auto short_state = [at, &ck](std::vector<std::uint8_t> &p) {
+        fuzz::storeU64(p, at, ck.policy_state.size() - 1);
+        p.erase(p.begin() + static_cast<long>(at + 8),
+                p.begin() + static_cast<long>(at + 16));
+    };
+    expectCorrupt(decodeError(cfg, resealed(blob, short_state)),
+                  "qos state");
 }
 
 } // namespace
