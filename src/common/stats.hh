@@ -109,7 +109,7 @@ class P2Quantile
     /**
      * Restore exactly what save() produced. Throws CheckpointError
      * (Kind::Corrupt) on a quantile outside (0, 1) or a sample count
-     * that is not a non-negative integer below 2^53.
+     * outside [0, 2^53].
      */
     void restore(const double *in);
 
