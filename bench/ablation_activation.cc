@@ -7,16 +7,17 @@
  * physical scale and applied through the same time scaling as the
  * thermal capacitances (see EXPERIMENTS.md).
  *
- * The baseline and every ramp point run concurrently on an
- * ExperimentRunner.
+ * The baseline and every ramp point run concurrently through
+ * parallelMap.
  */
 
 #include <functional>
 #include <iostream>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "sprint/runner.hh"
+#include "sprint/experiment.hh"
 #include "sprint/simulation.hh"
 #include "workloads/workload.hh"
 
@@ -48,8 +49,7 @@ main()
         });
     }
 
-    ExperimentRunner runner;
-    const std::vector<RunResult> results = runner.map(jobs);
+    const std::vector<RunResult> results = parallelMap(jobs);
     const RunResult &base = results[0];
 
     Table t("speedup vs physical ramp length");

@@ -6,16 +6,16 @@
  * never letting the junction exceed its limit.
  *
  * The thermometer reference and every margin point run concurrently
- * on an ExperimentRunner.
+ * through parallelMap.
  */
 
 #include <functional>
 #include <iostream>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/table.hh"
 #include "sprint/governor.hh"
-#include "sprint/runner.hh"
 #include "thermal/package.hh"
 
 using namespace csprint;
@@ -74,8 +74,7 @@ main()
         });
     }
 
-    ExperimentRunner runner;
-    const std::vector<Outcome> results = runner.map(jobs);
+    const std::vector<Outcome> results = parallelMap(jobs);
     const Outcome &truth = results[0];
 
     Table t("trigger time and peak junction temperature");

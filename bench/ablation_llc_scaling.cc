@@ -9,14 +9,16 @@
  * bandwidth-limited shape (and its 2x-bandwidth remedy).
  *
  * All 18 coupled runs (3 kernels x 3 configurations x
- * baseline/sprint) execute as one ExperimentRunner batch.
+ * baseline/sprint) execute as one parallelMap batch.
  */
 
+#include <functional>
 #include <iostream>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "sprint/runner.hh"
+#include "sprint/experiment.hh"
 
 using namespace csprint;
 
@@ -32,7 +34,7 @@ main()
 
     // Batch layout per kernel: [paper-LLC base, paper-LLC sprint,
     // scaled-LLC base, scaled-LLC sprint, remedy base, remedy sprint].
-    std::vector<ExperimentRun> batch;
+    std::vector<std::function<RunResult()>> jobs;
     for (KernelId id : kernels) {
         ExperimentSpec spec;
         spec.kernel = id;
@@ -46,16 +48,14 @@ main()
         ExperimentSpec remedy = scaled;
         remedy.bandwidth_mult = 2.0;
 
-        batch.push_back({ExperimentMode::Baseline, spec});
-        batch.push_back({ExperimentMode::ParallelSprint, spec});
-        batch.push_back({ExperimentMode::Baseline, scaled});
-        batch.push_back({ExperimentMode::ParallelSprint, scaled});
-        batch.push_back({ExperimentMode::Baseline, remedy});
-        batch.push_back({ExperimentMode::ParallelSprint, remedy});
+        for (const ExperimentSpec &s : {spec, scaled, remedy}) {
+            jobs.emplace_back([s] { return runBaselineExperiment(s); });
+            jobs.emplace_back(
+                [s] { return runParallelSprintExperiment(s); });
+        }
     }
 
-    ExperimentRunner runner;
-    const std::vector<RunResult> results = runner.runBatch(batch);
+    const std::vector<RunResult> results = parallelMap(jobs);
 
     Table t("normalized speedup over the same-LLC 1-core baseline");
     t.setHeader({"kernel", "paper LLC (4MB)", "scaled LLC",

@@ -5,16 +5,16 @@
  * of a train of sprints re-triggered faster than the cooldown.
  *
  * Each rest-time and each request-period point owns its package
- * model, so both sweeps run concurrently on an ExperimentRunner.
+ * model, so both sweeps run concurrently through parallelMap.
  */
 
 #include <functional>
 #include <iostream>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/table.hh"
 #include "sprint/pacing.hh"
-#include "sprint/runner.hh"
 #include "thermal/package.hh"
 
 using namespace csprint;
@@ -31,8 +31,6 @@ main()
                      100.0 * sustainableDutyCycle(ref, 16.0), 1)
               << "% (TDP / sprint power)\n\n";
 
-    ExperimentRunner runner;
-
     // Budget recovery after a full sprint.
     const std::vector<double> rests = {0.5, 2.0, 5.0, 10.0, 20.0, 40.0};
     std::vector<std::function<Joules()>> rest_jobs;
@@ -45,7 +43,7 @@ main()
             return budgetAfterRest(pkg, rest);
         });
     }
-    const std::vector<Joules> budgets = runner.map(rest_jobs);
+    const std::vector<Joules> budgets = parallelMap(rest_jobs);
 
     Table rec("sprint budget vs rest time after a ~1.1 s full sprint");
     rec.setHeader({"rest (s)", "budget (J)", "fraction of cold start"});
@@ -68,7 +66,7 @@ main()
             return runSprintTrain(pkg, 5, 16.0, 1.0, period);
         });
     }
-    const auto trains = runner.map(train_jobs);
+    const auto trains = parallelMap(train_jobs);
 
     Table train_table("train of 1 s sprint requests vs request period");
     train_table.setHeader({"period (s)", "sprint 1 (s)", "sprint 3 (s)",

@@ -6,16 +6,16 @@
  * the two PCM advantages: retained headroom after sustained
  * operation, and the constant-temperature latent plateau.
  *
- * The three storage designs evaluate concurrently on an
- * ExperimentRunner (each job owns its package models).
+ * The three storage designs evaluate concurrently through
+ * parallelMap (each job owns its package models).
  */
 
 #include <functional>
 #include <iostream>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "sprint/runner.hh"
 #include "thermal/metal.hh"
 #include "thermal/package.hh"
 #include "thermal/transients.hh"
@@ -89,8 +89,7 @@ main()
     for (const Design &d : designs)
         jobs.emplace_back([&d] { return evaluateDesign(d.params); });
 
-    ExperimentRunner runner;
-    const std::vector<DesignOutcome> outcomes = runner.map(jobs);
+    const std::vector<DesignOutcome> outcomes = parallelMap(jobs);
 
     Table t("cold start vs pre-heated (after 1 W sustained operation)");
     t.setHeader({"design", "budget cold (J)", "sprint cold (s)",

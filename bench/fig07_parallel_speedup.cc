@@ -7,14 +7,16 @@
  * fully-provisioned parallel sprint.
  *
  * All 30 coupled runs (6 kernels x 5 configurations) are independent,
- * so they are fanned across an ExperimentRunner batch.
+ * so they run as one parallelMap batch.
  */
 
+#include <functional>
 #include <iostream>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "sprint/runner.hh"
+#include "sprint/experiment.hh"
 
 using namespace csprint;
 
@@ -28,7 +30,7 @@ main()
 
     // Batch layout: per kernel, [baseline, par 1.5mg, par 150mg,
     // dvfs 1.5mg, dvfs 150mg].
-    std::vector<ExperimentRun> batch;
+    std::vector<std::function<RunResult()>> jobs;
     for (KernelId id : allKernels()) {
         ExperimentSpec spec;
         spec.kernel = id;
@@ -37,15 +39,16 @@ main()
         ExperimentSpec small = spec;
         small.pcm_mass = kSmallPcm;
 
-        batch.push_back({ExperimentMode::Baseline, spec});
-        batch.push_back({ExperimentMode::ParallelSprint, small});
-        batch.push_back({ExperimentMode::ParallelSprint, spec});
-        batch.push_back({ExperimentMode::DvfsSprint, small});
-        batch.push_back({ExperimentMode::DvfsSprint, spec});
+        jobs.emplace_back([spec] { return runBaselineExperiment(spec); });
+        jobs.emplace_back(
+            [small] { return runParallelSprintExperiment(small); });
+        jobs.emplace_back(
+            [spec] { return runParallelSprintExperiment(spec); });
+        jobs.emplace_back([small] { return runDvfsSprintExperiment(small); });
+        jobs.emplace_back([spec] { return runDvfsSprintExperiment(spec); });
     }
 
-    ExperimentRunner runner;
-    const std::vector<RunResult> results = runner.runBatch(batch);
+    const std::vector<RunResult> results = parallelMap(jobs);
 
     Table t("normalized speedup over 1-core non-sprint baseline");
     t.setHeader({"kernel", "Par 1.5mg", "Par 150mg", "DVFS 1.5mg",

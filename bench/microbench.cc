@@ -14,8 +14,9 @@
 #include "archsim/cache.hh"
 #include "archsim/opstream.hh"
 #include "archsim/machine.hh"
+#include "common/parallel.hh"
 #include "powergrid/pdn.hh"
-#include "sprint/runner.hh"
+#include "sprint/scenario.hh"
 #include "thermal/package.hh"
 #include "thermal/transients.hh"
 #include "thermal/validation.hh"
@@ -73,7 +74,7 @@ BENCHMARK(BM_ThermalStepPcmHeavy)->Arg(8)->Arg(32);
 
 /**
  * Batched experiment throughput: a batch of independent sprint
- * transients fanned across the ExperimentRunner thread pool, versus
+ * transients fanned across parallelMap's threads, versus
  * the serial loop the seed drivers used (Arg(0) = serial).
  */
 void
@@ -94,10 +95,9 @@ BM_BatchedSprintTransients(benchmark::State &state)
             benchmark::DoNotOptimize(sum);
         }
     } else {
-        ExperimentRunner runner(workers);
         std::vector<std::function<double()>> jobs(kBatch, one);
         for (auto _ : state) {
-            const std::vector<double> times = runner.map(jobs);
+            const std::vector<double> times = parallelMap(jobs, workers);
             benchmark::DoNotOptimize(times.data());
         }
     }

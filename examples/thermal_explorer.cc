@@ -5,7 +5,7 @@
  * 16 W, and cooldown — the trade-offs of paper Section 4.
  *
  * Every sweep point owns its package model, so both sweeps fan out
- * across an ExperimentRunner.
+ * through parallelMap.
  *
  *   ./thermal_explorer --power 16
  */
@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/args.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "sprint/runner.hh"
 #include "thermal/package.hh"
 #include "thermal/transients.hh"
 
@@ -52,8 +52,6 @@ main(int argc, char **argv)
     std::cout << "thermal design-space exploration at "
               << sprint_power << " W sprint power\n\n";
 
-    ExperimentRunner runner;
-
     const std::vector<double> masses_mg = {0.0,   15.0,  75.0,
                                            150.0, 300.0, 600.0};
     std::vector<std::function<MassRow()>> mass_jobs;
@@ -76,7 +74,7 @@ main(int argc, char **argv)
             return row;
         });
     }
-    const std::vector<MassRow> mass_rows = runner.map(mass_jobs);
+    const std::vector<MassRow> mass_rows = parallelMap(mass_jobs);
 
     Table mass_sweep("PCM mass sweep (melt point 60 C)");
     mass_sweep.setHeader({"PCM mass (mg)", "budget (J)",
@@ -110,7 +108,7 @@ main(int argc, char **argv)
             return row;
         });
     }
-    const std::vector<MeltRow> melt_rows = runner.map(melt_jobs);
+    const std::vector<MeltRow> melt_rows = parallelMap(melt_jobs);
 
     Table melt_sweep("melt-point sweep (150 mg PCM)");
     melt_sweep.setHeader({"melt point (C)", "sustainable TDP (W)",

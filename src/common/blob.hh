@@ -243,7 +243,7 @@ struct BlobContainer
      * Format version; bumped whenever the payload layout changes or a
      * knob leaves the config digest.
      */
-    static constexpr std::uint32_t kVersion = 2;
+    static constexpr std::uint32_t kVersion = 3;
 
     /** Wrap @p payload in the magic/version/digest/CRC frame. */
     static std::vector<std::uint8_t>

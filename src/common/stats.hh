@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <limits>
 
+#include "common/blob.hh"
+
 namespace csprint {
 
 /**
@@ -114,8 +116,6 @@ class P2Quantile
     void restore(const double *in);
 
   private:
-    friend struct CheckpointIO;
-
     /** One interior-marker adjustment sweep; true when any marker moved. */
     bool adjustMarkers();
 
@@ -129,6 +129,29 @@ class P2Quantile
     std::array<double, 5> desired{};  ///< desired marker positions
     std::array<double, 5> rate{};     ///< desired-position increments
 };
+
+/**
+ * A P² estimator's field list for the blob codecs (common/blob.hh):
+ * the save()/restore() layout of kStateSize f64s. Decode goes through
+ * restore(), which checks the sample count, and keeps the quantile the
+ * estimator was built to track: a stored quantile that differs is
+ * corrupt.
+ */
+template <class Ar>
+void
+ioP2Quantile(Ar &a, Ref<Ar, P2Quantile> q)
+{
+    double state[P2Quantile::kStateSize];
+    if constexpr (!Ar::kDecode)
+        q.save(state);
+    for (double &v : state)
+        a.f64(v);
+    if constexpr (Ar::kDecode) {
+        if (state[0] != q.quantile())
+            corrupt("quantile state tracks a different quantile");
+        q.restore(state);
+    }
+}
 
 } // namespace csprint
 

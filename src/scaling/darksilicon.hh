@@ -3,7 +3,7 @@
  * Technology-scaling projections behind Figure 1 of the paper: power
  * density and dark-silicon fraction for a fixed-area chip across process
  * nodes 45 nm ... 6 nm, under three voltage/density scaling scenarios
- * (ITRS, Borkar, and ITRS density with Borkar's pessimistic Vdd scaling).
+ * (ITRS, Borkar, and ITRS density with Borkar's conservative Vdd scaling).
  *
  * The model is intentionally small: per generation, transistor density
  * rises faster than per-device capacitance falls, and supply voltage
@@ -25,7 +25,7 @@ enum class ScalingScenario
 {
     Itrs,          ///< ITRS roadmap density and Vdd scaling
     Borkar,        ///< Borkar's density/capacitance/Vdd assumptions
-    ItrsBorkarVdd, ///< ITRS density with Borkar's pessimistic Vdd
+    ItrsBorkarVdd, ///< ITRS density with Borkar's conservative Vdd
 };
 
 /** Human-readable name of a scenario (matches the Fig. 1 legend). */

@@ -59,22 +59,6 @@ struct CheckpointIO
 
     template <class Ar>
     static void
-    io(Ar &a, Ref<Ar, P2Quantile> q)
-    {
-        a.f64(q.q_);
-        a.u64(q.n);
-        for (auto &v : q.height)
-            a.f64(v);
-        for (auto &v : q.pos)
-            a.f64(v);
-        for (auto &v : q.desired)
-            a.f64(v);
-        for (auto &v : q.rate)
-            a.f64(v);
-    }
-
-    template <class Ar>
-    static void
     io(Ar &a, Ref<Ar, TimeSeries> ts)
     {
         a.vecF64(ts.times);
@@ -161,7 +145,7 @@ struct CheckpointIO
         a.f64(m.ewma_heat_energy);
         a.f64(m.exhausted_ewma);
         a.f64(m.throttled_ewma);
-        io(a, m.service_p95);
+        ioP2Quantile(a, m.service_p95);
         a.u64(m.surrogate_runs);
         a.u64(m.audits);
         a.boolean(m.demoted);
@@ -595,7 +579,11 @@ struct CheckpointIO
                 t.buf_len = window;
             }
             // Each word must be an op the machine can execute: a known
-            // kind, and a lock id within the machine's sanity bound.
+            // kind, a lock id within the machine's sanity bound, and a
+            // release only of a lock the thread holds by then — held in
+            // the decoded lock table and not released since, or
+            // acquired earlier in the window.
+            std::vector<std::uint64_t> acquired, released;
             for (std::size_t i = t.buf_pos; i < t.buf_len; ++i) {
                 const MicroOp &op = t.buf[i];
                 a.u64(t.buf[i].bits);
@@ -605,6 +593,28 @@ struct CheckpointIO
                          op.kind() != OpKind::LockRelease) ||
                             op.addr() < Machine::kMaxLockId,
                         "op window lock id out of range");
+                if constexpr (Ar::kDecode) {
+                    const std::uint64_t id = op.addr();
+                    if (op.kind() == OpKind::LockAcquire) {
+                        acquired.push_back(id);
+                    } else if (op.kind() == OpKind::LockRelease) {
+                        const auto own =
+                            std::find(acquired.begin(), acquired.end(), id);
+                        if (own != acquired.end()) {
+                            acquired.erase(own);
+                        } else if (id < m.locks.size() &&
+                                   m.locks[id].holder ==
+                                       static_cast<int>(t.id) &&
+                                   std::find(released.begin(),
+                                             released.end(),
+                                             id) == released.end()) {
+                            released.push_back(id);
+                        } else {
+                            corrupt("op window releases a lock its "
+                                    "thread does not hold");
+                        }
+                    }
+                }
             }
         }
         a.expect(m.cores.size(), "core count differs from the configuration");
@@ -822,8 +832,8 @@ struct CheckpointIO
         a.f64(ck.total_sprint_time);
         a.f64(ck.total_sprint_energy);
         a.f64(ck.peak_melt);
-        io(a, ck.p50);
-        io(a, ck.p95);
+        ioP2Quantile(a, ck.p50);
+        ioP2Quantile(a, ck.p95);
         io(a, ck.melt_cycles);
         io(a, ck.traces);
         io(a, ck.surrogate);
@@ -1095,7 +1105,6 @@ struct CheckpointIO
         d.i64(static_cast<int>(cfg.idle_model));
         d.f64(cfg.idle_tolerance);
         d.boolean(cfg.generic_dispatch);
-        d.f64(cfg.policy.risk_quantile);
         d.i64(static_cast<int>(cfg.surrogate.tier));
         d.i64(cfg.surrogate.min_calibration);
         d.f64(cfg.surrogate.audit_period);
@@ -1246,12 +1255,27 @@ CheckpointStore::checkpointPath(int shard, std::uint64_t seq) const
     return dir_ + "/" + name;
 }
 
-std::string
-CheckpointStore::manifestPath(int shard) const
+std::vector<std::pair<std::uint64_t, std::string>>
+CheckpointStore::shardFiles(int shard) const
 {
-    char name[32];
-    std::snprintf(name, sizeof(name), "shard%04d.manifest", shard);
-    return dir_ + "/" + name;
+    char prefix[32];
+    std::snprintf(prefix, sizeof(prefix), "shard%04d-", shard);
+    const std::size_t plen = std::strlen(prefix);
+    std::vector<std::pair<std::uint64_t, std::string>> files;
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
+        const std::string fname = entry.path().filename().string();
+        unsigned long long seq = 0;
+        if (fname.rfind(prefix, 0) != 0 || fname.size() <= plen + 3 ||
+            fname.compare(fname.size() - 3, 3, ".ck") != 0 ||
+            std::sscanf(fname.c_str() + plen, "%llu", &seq) != 1)
+            continue;
+        files.emplace_back(static_cast<std::uint64_t>(seq),
+                           entry.path().string());
+    }
+    std::sort(files.begin(), files.end(),
+              [](const auto &a, const auto &b) { return a.first > b.first; });
+    return files;
 }
 
 void
@@ -1268,95 +1292,29 @@ CheckpointStore::save(int shard, std::uint64_t seq,
     // before publishing or pruning anything (see the class comment).
     lockShardWriter(shard);
 
-    // Publish the checkpoint, then the manifest naming it; both via
-    // write-temp-then-rename so a crash at any instant leaves either
-    // the previous complete state or the new one, never a torn file.
-    const std::string path = checkpointPath(shard, seq);
-    writeFileAtomic(path, blob.data(), blob.size());
-    const std::string manifest_body =
-        fs::path(path).filename().string() + "\n";
-    writeFileAtomic(manifestPath(shard), manifest_body.data(),
-                    manifest_body.size());
+    // Write-temp-then-rename: a crash at any instant leaves either the
+    // previous complete state or the new one, never a torn file.
+    writeFileAtomic(checkpointPath(shard, seq), blob.data(), blob.size());
 
-    // Prune to the two newest checkpoints of this shard (the
-    // manifest target plus one fallback).
-    char prefix[32];
-    std::snprintf(prefix, sizeof(prefix), "shard%04d-", shard);
-    std::vector<std::pair<std::uint64_t, fs::path>> kept;
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        const std::string fname = entry.path().filename().string();
-        unsigned long long s = 0;
-        if (fname.rfind(prefix, 0) != 0 ||
-            fname.size() <= std::strlen(prefix) + 3 ||
-            fname.substr(fname.size() - 3) != ".ck")
-            continue;
-        if (std::sscanf(fname.c_str() + std::strlen(prefix), "%llu",
-                        &s) != 1)
-            continue;
-        kept.emplace_back(static_cast<std::uint64_t>(s), entry.path());
+    // Keep this checkpoint and its predecessor. Every other file of the
+    // shard goes, newer ones included: a restarted chain supersedes
+    // what an earlier run of the shard left behind.
+    for (const auto &file : shardFiles(shard)) {
+        if (file.first != seq && file.first + 1 != seq)
+            fs::remove(file.second, ec); // best effort
     }
-    std::sort(kept.begin(), kept.end(),
-              [](const auto &a, const auto &b) { return a.first > b.first; });
-    for (std::size_t i = 2; i < kept.size(); ++i)
-        fs::remove(kept[i].second, ec); // best effort
 }
 
 std::vector<CheckpointStore::Candidate>
 CheckpointStore::loadCandidates(int shard) const
 {
     std::vector<Candidate> out;
-    auto addFile = [&](const std::string &path, std::uint64_t seq) {
-        for (const Candidate &c : out) {
-            if (c.seq == seq)
-                return;
-        }
+    for (const auto &file : shardFiles(shard)) {
         Candidate c;
-        c.seq = seq;
-        if (readFileBytes(path, c.blob))
+        c.seq = file.first;
+        if (readFileBytes(file.second, c.blob))
             out.push_back(std::move(c));
-    };
-
-    char prefix[32];
-    std::snprintf(prefix, sizeof(prefix), "shard%04d-", shard);
-    auto seqOf = [&](const std::string &fname,
-                     std::uint64_t &seq) -> bool {
-        unsigned long long s = 0;
-        if (fname.rfind(prefix, 0) != 0 ||
-            fname.size() <= std::strlen(prefix) + 3 ||
-            fname.substr(fname.size() - 3) != ".ck")
-            return false;
-        if (std::sscanf(fname.c_str() + std::strlen(prefix), "%llu",
-                        &s) != 1)
-            return false;
-        seq = static_cast<std::uint64_t>(s);
-        return true;
-    };
-
-    // The manifest-named checkpoint is the preferred candidate.
-    std::vector<std::uint8_t> manifest;
-    if (readFileBytes(manifestPath(shard), manifest)) {
-        std::string fname(manifest.begin(), manifest.end());
-        const std::size_t nl = fname.find('\n');
-        if (nl != std::string::npos)
-            fname.resize(nl);
-        std::uint64_t seq = 0;
-        if (seqOf(fname, seq))
-            addFile(dir_ + "/" + fname, seq);
     }
-
-    // Any other retained checkpoint of this shard, newest first.
-    std::error_code ec;
-    std::vector<std::pair<std::uint64_t, std::string>> extra;
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        const std::string fname = entry.path().filename().string();
-        std::uint64_t seq = 0;
-        if (seqOf(fname, seq))
-            extra.emplace_back(seq, entry.path().string());
-    }
-    std::sort(extra.begin(), extra.end(),
-              [](const auto &a, const auto &b) { return a.first > b.first; });
-    for (const auto &e : extra)
-        addFile(e.second, e.first);
     return out;
 }
 

@@ -22,10 +22,9 @@
  * one list, and any layout change bumps BlobContainer::kVersion.
  *
  * CheckpointStore adds crash-safe persistence: checkpoints are
- * written to a temporary file and atomically renamed, with a manifest
- * naming the last complete checkpoint and the previous one retained
- * as a fallback, so a crash mid-write never corrupts the last good
- * state.
+ * written to a temporary file and atomically renamed, with the
+ * previous one retained as a fallback, so a crash mid-write never
+ * corrupts the last good state.
  */
 
 #ifndef CSPRINT_SPRINT_CHECKPOINT_HH
@@ -108,11 +107,13 @@ void writeFileAtomic(const std::string &path, const void *data,
 
 /**
  * Atomic checkpoint persistence for one scenario batch: one directory
- * holding per-shard checkpoint files plus a manifest per shard naming
- * the newest complete file. save() writes to a temporary name, fsyncs
- * nothing exotic — atomicity comes from rename(2) — then publishes
- * the manifest the same way and prunes all but the two newest
- * checkpoints, so a torn write can never shadow the last good state.
+ * holding per-shard checkpoint files named by their sequence number.
+ * save() writes to a temporary name, fsyncs nothing exotic —
+ * atomicity comes from rename(2) — so a torn write can never shadow
+ * the last good state. It then keeps the new checkpoint and its
+ * predecessor (seq and seq - 1) and removes the shard's other files,
+ * newer ones left by an earlier run included. Either retained file is
+ * a complete checkpoint; readers try the newest first.
  *
  * Single-writer contract: save() prunes, and pruning assumes no other
  * live writer is publishing the same shard — a respawned worker
@@ -154,10 +155,9 @@ class CheckpointStore
     };
 
     /**
-     * Shard @p shard's recoverable checkpoints, newest first: the
-     * manifest-named file, then any retained predecessor. Unreadable
-     * or missing files are skipped, never thrown — an empty result
-     * means "start from the beginning".
+     * Shard @p shard's recoverable checkpoints, newest (highest seq)
+     * first. Unreadable or missing files are skipped, never thrown —
+     * an empty result means "start from the beginning".
      */
     std::vector<Candidate> loadCandidates(int shard) const;
 
@@ -171,9 +171,6 @@ class CheckpointStore
      */
     std::string checkpointPath(int shard, std::uint64_t seq) const;
 
-    /** The manifest file naming shard @p shard's newest checkpoint. */
-    std::string manifestPath(int shard) const;
-
     /** The advisory writer lockfile guarding shard @p shard. */
     std::string lockPath(int shard) const;
 
@@ -184,6 +181,10 @@ class CheckpointStore
      * holds it.
      */
     void lockShardWriter(int shard);
+
+    /** Shard @p shard's checkpoint files as (seq, path), newest first. */
+    std::vector<std::pair<std::uint64_t, std::string>>
+    shardFiles(int shard) const;
 
     std::string dir_;
     std::vector<std::pair<int, int>> writer_locks_; ///< (shard, fd)

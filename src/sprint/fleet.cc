@@ -237,26 +237,6 @@ io(Ar &a, Ref<Ar, FleetSpec> spec, Ref<Ar, FaultPlan> plan,
     a.boolean(opts.paranoia);
 }
 
-/**
- * A P² estimator in its save()/restore() layout of kStateSize f64s
- * (the checkpoint codec stores the count as a u64 instead).
- */
-template <class Ar>
-void
-io(Ar &a, Ref<Ar, P2Quantile> q, double quantile)
-{
-    double st[P2Quantile::kStateSize];
-    if constexpr (!Ar::kDecode)
-        q.save(st);
-    for (double &v : st)
-        a.f64(v);
-    if constexpr (Ar::kDecode) {
-        if (st[0] != quantile)
-            corrupt("fleet aggregates: malformed quantile state");
-        q.restore(st);
-    }
-}
-
 template <class Ar>
 void
 io(Ar &a, Ref<Ar, FleetAggregates> agg)
@@ -278,8 +258,8 @@ io(Ar &a, Ref<Ar, FleetAggregates> agg)
     a.f64(agg.total_energy);
     a.f64(agg.total_sprint_time);
     a.f64(agg.total_sprint_energy);
-    io(a, agg.response_p50, 0.50);
-    io(a, agg.response_p95, 0.95);
+    ioP2Quantile(a, agg.response_p50);
+    ioP2Quantile(a, agg.response_p95);
 }
 
 } // namespace

@@ -564,15 +564,66 @@ class ReadyQueue
 };
 
 /**
+ * Fold one completed task into the timeline: the streaming
+ * aggregates, deadline accounting, policy feedback, and (when kept)
+ * its per-task record. Both execution paths end here — a pumped task
+ * with finalizePump's result, a surrogate task with the result built
+ * from its prediction. @p snap is the policy's view of the task as it
+ * finished.
+ */
+void
+foldCompletedTask(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
+                  const MobilePackageModel &package, SprintPolicy &policy,
+                  const ScenarioTaskExecution &ex, const TaskSnapshot &snap,
+                  RunResult &&run)
+{
+    if (ex.sprint_granted && run.sprint_exhausted)
+        ++ck.sprints_exhausted;
+    if (run.hardware_throttled)
+        ++ck.hardware_throttles;
+    ck.total_energy += run.dynamic_energy;
+    ck.total_sprint_time += run.sprint_duration;
+    ck.total_sprint_energy += run.sprint_energy;
+    ck.peak_junction = ck.tasks_completed == 0
+                           ? run.peak_junction
+                           : std::max(ck.peak_junction, run.peak_junction);
+    const Seconds response = ck.now - ex.task.arrival;
+    ck.p50.add(response);
+    ck.p95.add(response);
+    const bool met = ex.task.deadline <= 0.0 ||
+                     ck.now <= ex.task.arrival + ex.task.deadline;
+    if (ex.task.deadline > 0.0)
+        ++(met ? ck.deadlines_met : ck.deadlines_missed);
+    policy.onTaskComplete(snap, run.task_time);
+    ++ck.tasks_completed;
+
+    if (cfg.keep_task_results) {
+        ScenarioTaskResult tr;
+        tr.arrival = ex.task.arrival;
+        tr.start = ex.first_start;
+        tr.finish = ck.now;
+        tr.response = response;
+        tr.sprint_granted = ex.sprint_granted;
+        tr.melt_at_start = ex.melt_at_start;
+        tr.melt_at_end = package.meltFraction();
+        tr.priority = ex.task.priority;
+        tr.deadline = ex.task.deadline;
+        tr.deadline_met = met;
+        tr.preemptions = ex.preemptions;
+        tr.run = std::move(run);
+        ck.tasks.push_back(std::move(tr));
+    }
+}
+
+/**
  * Execute one dispatched task from its calibrated class prediction
  * instead of a machine pump (the surrogate fast path): pay the
  * activation ramp exactly as the exact path does, advance the package
  * through the predicted piecewise-constant heat profile — the
  * above-TDP sprint segment first, then the sustainable tail carrying
- * the remaining energy — and fold the predicted service and energy
- * into the same streaming aggregates, deadline accounting, and policy
- * feedback a pumped task feeds. The program and machine are never
- * built.
+ * the remaining energy — and fold the predicted result through the
+ * same foldCompletedTask a pumped task goes through. The program and
+ * machine are never built.
  */
 void
 runSurrogateTask(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
@@ -644,56 +695,22 @@ runSurrogateTask(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
     ck.busy += t - ck.now;
     ck.now = t;
 
-    // Fold, mirroring the exact completion path field for field.
-    if (ex.sprint_granted && pred.sprint_exhausted)
-        ++ck.sprints_exhausted;
-    if (pred.hardware_throttled)
-        ++ck.hardware_throttles;
-    ck.total_energy += pred.energy;
-    ck.total_sprint_time += sprint_t;
-    ck.total_sprint_energy += sprint_e;
-    ck.peak_junction = ck.tasks_completed == 0
-                           ? peak
-                           : std::max(ck.peak_junction, peak);
-    const Seconds response = ck.now - ex.task.arrival;
-    ck.p50.add(response);
-    ck.p95.add(response);
-    const bool met = ex.task.deadline <= 0.0 ||
-                     ck.now <= ex.task.arrival + ex.task.deadline;
-    if (ex.task.deadline > 0.0)
-        ++(met ? ck.deadlines_met : ck.deadlines_missed);
-    policy.onTaskComplete(snapshotOf(ex), ramp + service);
-    ++ck.tasks_completed;
-
-    if (cfg.keep_task_results) {
-        ScenarioTaskResult tr;
-        tr.arrival = ex.task.arrival;
-        tr.start = ex.first_start;
-        tr.finish = ck.now;
-        tr.response = response;
-        tr.sprint_granted = ex.sprint_granted;
-        tr.melt_at_start = ex.melt_at_start;
-        tr.melt_at_end = package.meltFraction();
-        tr.priority = ex.task.priority;
-        tr.deadline = ex.task.deadline;
-        tr.deadline_met = met;
-        tr.preemptions = ex.preemptions;
-        tr.run.program_name = "surrogate";
-        tr.run.sprint_cores = ex.run_cfg.sprint_cores;
-        tr.run.num_threads = ex.run_cfg.num_threads;
-        tr.run.dvfs_boost = ex.run_cfg.dvfs_boost;
-        tr.run.task_time = ramp + service;
-        tr.run.dynamic_energy = pred.energy;
-        tr.run.peak_junction = peak;
-        tr.run.final_melt_fraction = package.meltFraction();
-        tr.run.sprint_exhausted = pred.sprint_exhausted;
-        tr.run.hardware_throttled = pred.hardware_throttled;
-        tr.run.sprint_duration = sprint_t;
-        tr.run.sprint_energy = sprint_e;
-        tr.run.avg_power =
-            service > 0.0 ? pred.energy / service : 0.0;
-        ck.tasks.push_back(std::move(tr));
-    }
+    RunResult run;
+    run.program_name = "surrogate";
+    run.sprint_cores = ex.run_cfg.sprint_cores;
+    run.num_threads = ex.run_cfg.num_threads;
+    run.dvfs_boost = ex.run_cfg.dvfs_boost;
+    run.task_time = ramp + service;
+    run.dynamic_energy = pred.energy;
+    run.peak_junction = peak;
+    run.final_melt_fraction = package.meltFraction();
+    run.sprint_exhausted = pred.sprint_exhausted;
+    run.hardware_throttled = pred.hardware_throttled;
+    run.sprint_duration = sprint_t;
+    run.sprint_energy = sprint_e;
+    run.avg_power = service > 0.0 ? pred.energy / service : 0.0;
+    foldCompletedTask(cfg, ck, package, policy, ex, snapshotOf(ex),
+                      std::move(run));
 }
 
 } // namespace
@@ -937,45 +954,9 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
             ck.surrogate.observeExact(key, ob);
         }
 
-        if (current->sprint_granted && run.sprint_exhausted)
-            ++ck.sprints_exhausted;
-        if (run.hardware_throttled)
-            ++ck.hardware_throttles;
-        ck.total_energy += run.dynamic_energy;
-        ck.total_sprint_time += run.sprint_duration;
-        ck.total_sprint_energy += run.sprint_energy;
-        ck.peak_junction = ck.tasks_completed == 0
-                               ? run.peak_junction
-                               : std::max(ck.peak_junction,
-                                          run.peak_junction);
-        const Seconds response = ck.now - current->task.arrival;
-        ck.p50.add(response);
-        ck.p95.add(response);
-        const bool met =
-            current->task.deadline <= 0.0 ||
-            ck.now <= current->task.arrival + current->task.deadline;
-        if (current->task.deadline > 0.0)
-            ++(met ? ck.deadlines_met : ck.deadlines_missed);
-        policy->onTaskComplete(done_snap, run.task_time);
-        ++ck.tasks_completed;
+        foldCompletedTask(cfg, ck, package, *policy, *current, done_snap,
+                          std::move(run));
         ++completed;
-
-        if (cfg.keep_task_results) {
-            ScenarioTaskResult tr;
-            tr.arrival = current->task.arrival;
-            tr.start = current->first_start;
-            tr.finish = ck.now;
-            tr.response = response;
-            tr.sprint_granted = current->sprint_granted;
-            tr.melt_at_start = current->melt_at_start;
-            tr.melt_at_end = package.meltFraction();
-            tr.priority = current->task.priority;
-            tr.deadline = current->task.deadline;
-            tr.deadline_met = met;
-            tr.preemptions = current->preemptions;
-            tr.run = std::move(run);
-            ck.tasks.push_back(std::move(tr));
-        }
         if (cfg.warm_caches) {
             prev_machine = std::move(current->machine);
             prev_program = std::move(current->program);

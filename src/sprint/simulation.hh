@@ -39,8 +39,7 @@ namespace csprint {
 
 /**
  * Default capacitance time scaling matching the scaled-down workload
- * inputs (see SprintConfig::scaledPackage and DESIGN.md,
- * Substitutions).
+ * inputs (see SprintConfig::scaledPackage).
  */
 constexpr double kDefaultTimeScale = 7e-4;
 
@@ -58,8 +57,8 @@ struct SprintConfig
                                            ///< the hardware throttle
     /**
      * Scale all thermal capacitances by @p time_scale to match the
-     * scaled-down workload inputs (see DESIGN.md, Substitutions; the
-     * paper itself scales its PCM 100x for the same reason). Thermal
+     * scaled-down workload inputs (the paper itself scales its PCM
+     * 100x for the same reason). Thermal
      * resistances are untouched, so TDP and steady state are
      * preserved while transients shrink by the same factor as the
      * simulated work.

@@ -50,7 +50,8 @@ std::vector<KernelInfo> kernelTable();
 /**
  * Input-size classes of Figure 9 (bars A-D). Paper inputs range from
  * sub-megapixel to HD images; ours are scaled down uniformly to keep
- * full-sprint simulation tractable (DESIGN.md, Substitutions).
+ * full-sprint simulation tractable (the thermal capacitances are scaled
+ * to match: see SprintConfig::scaledPackage).
  */
 enum class InputSize
 {

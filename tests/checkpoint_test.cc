@@ -273,8 +273,9 @@ TEST(CheckpointRejection, WrongConfigurationDigest)
 
 TEST(CheckpointRejection, EarlierFormatVersion)
 {
-    // Version 1 blobs carried config digests over knobs that no longer
-    // exist; they must be refused by version, not misread.
+    // Earlier versions carried config digests over knobs that no
+    // longer exist, or other P² and policy-state layouts; they must be
+    // refused by version, not misread.
     ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
                                       ArrivalPattern::Periodic, 3);
     ScenarioCheckpoint ck = beginScenario(cfg);
@@ -283,13 +284,16 @@ TEST(CheckpointRejection, EarlierFormatVersion)
     // Header: u32 magic, then the u32 version, little-endian.
     ASSERT_GE(blob.size(), 8u);
     ASSERT_EQ(blob[4], BlobContainer::kVersion);
-    blob[4] = 1;
-    blob[5] = blob[6] = blob[7] = 0;
-    try {
-        deserializeCheckpoint(cfg, blob);
-        FAIL() << "a version-1 checkpoint loaded";
-    } catch (const CheckpointError &e) {
-        EXPECT_EQ(e.kind(), CheckpointError::Kind::BadVersion);
+    for (std::uint8_t version = 1; version < BlobContainer::kVersion;
+         ++version) {
+        blob[4] = version;
+        blob[5] = blob[6] = blob[7] = 0;
+        try {
+            deserializeCheckpoint(cfg, blob);
+            FAIL() << "a version-" << int(version) << " checkpoint loaded";
+        } catch (const CheckpointError &e) {
+            EXPECT_EQ(e.kind(), CheckpointError::Kind::BadVersion);
+        }
     }
 }
 
@@ -318,9 +322,6 @@ TEST(CheckpointRejection, FidelityTierChangesTheDigest)
     variants.push_back(v);
     v = cfg;
     v.surrogate.profile_samples = cfg.surrogate.profile_samples + 1;
-    variants.push_back(v);
-    v = cfg;
-    v.policy.risk_quantile = 0.95;
     variants.push_back(v);
 
     for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -388,7 +389,7 @@ TEST(CheckpointValidation, RejectsTamperedState)
     }
 }
 
-TEST(CheckpointStoreTest, SaveLoadAndManifestPreference)
+TEST(CheckpointStoreTest, SaveLoadNewestFirst)
 {
     const ScopedTempDir dir("store");
     CheckpointStore store(dir.path());
@@ -421,6 +422,33 @@ TEST(CheckpointStoreTest, PrunesToTwoNewest)
     EXPECT_EQ(cands[1].seq, 4u);
 }
 
+TEST(CheckpointStoreTest, RestartedChainSupersedesStaleNewerFiles)
+{
+    // Regression: save() kept the two highest seqs, so a shard that
+    // restarted from scratch (no retained candidate decoded) had its
+    // new seqs 1 and 2 deleted as soon as they were written, and
+    // loadCandidates kept returning the stale 6 and 5.
+    const ScopedTempDir dir("restart");
+    {
+        CheckpointStore earlier(dir.path());
+        earlier.save(0, 5, {5});
+        earlier.save(0, 6, {6});
+    }
+    CheckpointStore store(dir.path());
+    store.save(0, 1, {1});
+    auto cands = store.loadCandidates(0);
+    ASSERT_EQ(cands.size(), 1u);
+    EXPECT_EQ(cands[0].seq, 1u);
+
+    store.save(0, 2, {2});
+    cands = store.loadCandidates(0);
+    ASSERT_EQ(cands.size(), 2u);
+    EXPECT_EQ(cands[0].seq, 2u);
+    EXPECT_EQ(cands[0].blob, (std::vector<std::uint8_t>{2}));
+    EXPECT_EQ(cands[1].seq, 1u);
+    EXPECT_EQ(cands[1].blob, (std::vector<std::uint8_t>{1}));
+}
+
 TEST(CheckpointStoreTest, CorruptNewestFallsBackToPredecessor)
 {
     ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
@@ -436,7 +464,7 @@ TEST(CheckpointStoreTest, CorruptNewestFallsBackToPredecessor)
     store.save(0, 1, good);
     store.save(0, 2, newer);
 
-    // Bit rot hits the manifest-named newest file.
+    // Bit rot hits the newest file.
     {
         std::fstream f(store.checkpointPath(0, 2),
                        std::ios::binary | std::ios::in | std::ios::out);
@@ -682,27 +710,36 @@ occurrences(const std::vector<std::uint8_t> &bytes,
     return at;
 }
 
-TEST(CheckpointRegression, DamagedOpWindowWordIsRejected)
+/**
+ * Offset of the first op-window word of @p seed's payload that is a
+ * Branch op: it carries no address, so its word is seven zero bytes and
+ * then the kind, and it is the first such word the decoder reads as an
+ * op (damaging its kind byte fails with `unknown op kind`). Returns the
+ * payload size when there is none.
+ */
+std::size_t
+firstWindowBranchWord(const FuzzSeed &seed)
 {
-    // Was: `panic: unknown op kind` (machine.cc) on resume. A Branch op
-    // carries no address, so its word is seven zero bytes and then the
-    // kind; the first such word the decoder reads as an op is the one.
-    const FuzzSeed seed = fuzzSeedAt(preemptiveScenario(4), 2);
     const std::vector<std::uint8_t> payload = fuzz::payloadOf(seed.blob);
     const std::uint8_t branch = static_cast<std::uint8_t>(OpKind::Branch);
-    std::size_t word = payload.size();
     for (std::size_t at :
          occurrences(payload, {0, 0, 0, 0, 0, 0, 0, branch})) {
         const auto bad_kind = [at](std::vector<std::uint8_t> &p) {
             p[at + 7] = 0xff;
         };
         if (decodeError(seed.cfg, resealed(seed.blob, bad_kind))
-                .find("unknown op kind") != std::string::npos) {
-            word = at;
-            break;
-        }
+                .find("unknown op kind") != std::string::npos)
+            return at;
     }
-    ASSERT_LT(word, payload.size())
+    return payload.size();
+}
+
+TEST(CheckpointRegression, DamagedOpWindowWordIsRejected)
+{
+    // Was: `panic: unknown op kind` (machine.cc) on resume.
+    const FuzzSeed seed = fuzzSeedAt(preemptiveScenario(4), 2);
+    const std::size_t word = firstWindowBranchWord(seed);
+    ASSERT_LT(word, fuzz::payloadOf(seed.blob).size())
         << "no op-window word whose damage the decoder rejects";
 
     // The same word as a lock acquire past the machine's 2^20 lock-id
@@ -714,17 +751,108 @@ TEST(CheckpointRegression, DamagedOpWindowWordIsRejected)
                   "lock id out of range");
 }
 
+TEST(CheckpointRegression, ReleaseOfALockNotHeldIsRejected)
+{
+    // Was: `release of a lock not held by this thread` (machine.cc) on
+    // resume. No thread of this Sobel machine holds a lock, so a
+    // release in a window is legal only after an acquire of the same
+    // lock earlier in that window.
+    const FuzzSeed seed = fuzzSeedAt(preemptiveScenario(4), 2);
+    const std::vector<std::uint8_t> payload = fuzz::payloadOf(seed.blob);
+    const std::size_t word = firstWindowBranchWord(seed);
+    ASSERT_LT(word, payload.size());
+    const auto release_at = [](std::size_t at) {
+        return [at](std::vector<std::uint8_t> &p) {
+            fuzz::storeU64(p, at, MicroOp::lockRelease(5).bits);
+        };
+    };
+    expectCorrupt(decodeError(seed.cfg,
+                              resealed(seed.blob, release_at(word))),
+                  "releases a lock its thread does not hold");
+
+    // An acquire earlier in the same window makes the release legal:
+    // find a later Branch word of the same window (a lone release there
+    // is rejected too) that decodes once the first word acquires.
+    const std::uint8_t branch = static_cast<std::uint8_t>(OpKind::Branch);
+    bool paired = false;
+    for (std::size_t at :
+         occurrences(payload, {0, 0, 0, 0, 0, 0, 0, branch})) {
+        if (at <= word || (at - word) % 8 != 0)
+            continue;
+        if (decodeError(seed.cfg, resealed(seed.blob, release_at(at)))
+                .find("does not hold") == std::string::npos)
+            continue;
+        const auto acquire_then_release = [word,
+                                           at](std::vector<std::uint8_t> &p) {
+            fuzz::storeU64(p, word, MicroOp::lockAcquire(5).bits);
+            fuzz::storeU64(p, at, MicroOp::lockRelease(5).bits);
+        };
+        const std::string err =
+            decodeError(seed.cfg, resealed(seed.blob, acquire_then_release));
+        if (err.find("does not hold") != std::string::npos)
+            continue; // a later window: another thread's release
+        EXPECT_EQ(err, "");
+        paired = true;
+        break;
+    }
+    EXPECT_TRUE(paired) << "no second Branch word in the first window";
+}
+
+TEST(CheckpointRegression, ForeignQuantileStateIsRejected)
+{
+    // Was: `nan is outside the range of representable values`
+    // (stats.cc, P2Quantile::value, under UBSan) in finishScenario: the
+    // checkpoint's P2 records were read field by field, unchecked. They
+    // now share the fleet codec's layout and checks: restore() bounds
+    // the count, and the stored quantile must be the one the estimator
+    // tracks.
+    ScenarioConfig cfg = preemptiveScenario(4);
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 2);
+    const std::vector<std::uint8_t> blob = serializeCheckpoint(cfg, ck);
+    const std::vector<std::uint8_t> payload = fuzz::payloadOf(blob);
+
+    for (const P2Quantile *q : {&ck.p50, &ck.p95}) {
+        SCOPED_TRACE("p" + std::to_string(int(q->quantile() * 100)));
+        double st[P2Quantile::kStateSize];
+        q->save(st);
+        BlobWriter state;
+        for (double v : st)
+            state.f64(v);
+        const std::vector<std::size_t> found =
+            occurrences(payload, state.buffer());
+        ASSERT_EQ(found.size(), 1u);
+        const std::size_t at = found[0];
+        for (double bad : {std::nan(""), 0.25, 1.5}) {
+            SCOPED_TRACE("quantile " + std::to_string(bad));
+            const auto bad_quantile = [at, bad](std::vector<std::uint8_t> &p) {
+                std::uint64_t bits;
+                std::memcpy(&bits, &bad, sizeof(bits));
+                fuzz::storeU64(p, at, bits);
+            };
+            expectCorrupt(decodeError(cfg, resealed(blob, bad_quantile)),
+                          "tracks a different quantile");
+        }
+        const auto bad_count = [at](std::vector<std::uint8_t> &p) {
+            const double huge = 1e300;
+            std::uint64_t bits;
+            std::memcpy(&bits, &huge, sizeof(bits));
+            fuzz::storeU64(p, at + 8, bits);
+        };
+        expectCorrupt(decodeError(cfg, resealed(blob, bad_count)),
+                      "sample count out of range");
+    }
+}
+
 TEST(CheckpointRegression, MalformedPolicyStateIsRejected)
 {
-    // Was: `restored quantile must be in (0, 1)` (stats.cc) or a
-    // wrong-sized state aborting in the policy's restoreState on resume.
-    // The Qos policy's state is its service estimator: per cell the
-    // running sum, the count, then the P2 state (quantile first).
+    // Was: a wrong-sized state aborting in the policy's restoreState on
+    // resume. The Qos policy's state is its service estimator: per cell
+    // the running sum and the count.
     ScenarioConfig cfg = preemptiveScenario(4);
     ScenarioCheckpoint ck = beginScenario(cfg);
     advanceScenario(cfg, ck, 2);
     ASSERT_EQ(ck.policy_state.size(), ServiceEstimator::kStateSize);
-    ASSERT_EQ(ck.policy_state[2], 0.95);
     const std::vector<std::uint8_t> blob = serializeCheckpoint(cfg, ck);
 
     // Find the state by its own encoding: a length, then the values.
@@ -736,17 +864,6 @@ TEST(CheckpointRegression, MalformedPolicyStateIsRejected)
         occurrences(fuzz::payloadOf(blob), state.buffer());
     ASSERT_EQ(found.size(), 1u);
     const std::size_t at = found[0];
-
-    for (double bad : {1.5, 0.0, std::nan("")}) {
-        SCOPED_TRACE("quantile " + std::to_string(bad));
-        const auto bad_quantile = [at, bad](std::vector<std::uint8_t> &p) {
-            std::uint64_t bits;
-            std::memcpy(&bits, &bad, sizeof(bits));
-            fuzz::storeU64(p, at + 8 + 2 * 8, bits);
-        };
-        expectCorrupt(decodeError(cfg, resealed(blob, bad_quantile)),
-                      "quantile must be in (0, 1)");
-    }
 
     // One state word short: the length and the values shrink together.
     const auto short_state = [at, &ck](std::vector<std::uint8_t> &p) {

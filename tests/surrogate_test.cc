@@ -3,8 +3,8 @@
  * Unit tests for the calibrated surrogate fidelity tier: class-key
  * encoding, the admissibility gate (calibration count + demotion),
  * seed-determinism of the audit cursor, one-strike demotion grading,
- * prediction clamping, and the streaming-quantile state that rides in
- * ServiceEstimator checkpoints.
+ * prediction clamping, P² save/restore, and the ServiceEstimator's
+ * fallback chain and checkpoint state.
  */
 
 #include <gtest/gtest.h>
@@ -174,15 +174,14 @@ TEST(P2QuantileState, SaveRestoreContinuesBitExactly)
     EXPECT_EQ(a.value(), b.value());
 }
 
-TEST(ServiceEstimatorQuantiles, FallbackChainAndPessimism)
+TEST(ServiceEstimator, FallbackChain)
 {
-    ServiceEstimator est(/*prior=*/5e-3, /*quantile=*/0.95);
+    ServiceEstimator est(/*prior=*/5e-3);
     TaskSnapshot task;
     task.priority = 0;
 
-    // Nothing observed: both paths surface the prior.
-    EXPECT_EQ(est.quantileIf(task, true), 5e-3);
-    EXPECT_EQ(est.pessimisticIf(task, true), 5e-3);
+    // Nothing observed: the prior.
+    EXPECT_EQ(est.estimateIf(task, true), 5e-3);
 
     // Populate the non-sprinted cell with a skewed sample set.
     TaskSnapshot done = task;
@@ -190,17 +189,25 @@ TEST(ServiceEstimatorQuantiles, FallbackChainAndPessimism)
     done.sprint_granted = false;
     for (int i = 0; i < 100; ++i)
         est.add(done, i % 10 == 9 ? 50e-3 : 1e-3);
+    EXPECT_NEAR(est.estimateIf(task, false), 5.9e-3, 1e-15);
 
-    // The p95 path prices the tail the mean hides.
-    EXPECT_GT(est.quantileIf(task, false), est.estimateIf(task, false));
-    EXPECT_GE(est.pessimisticIf(task, false),
-              est.estimateIf(task, false));
     // The sprint column is empty: fallback reaches the same-class
     // other-sprint cell, not the prior.
-    EXPECT_EQ(est.quantileIf(task, true), est.quantileIf(task, false));
+    EXPECT_EQ(est.estimateIf(task, true), est.estimateIf(task, false));
+
+    // The other class has no data of its own: the prior outranks the
+    // cross-class observations.
+    TaskSnapshot hi = task;
+    hi.priority = 1;
+    EXPECT_EQ(est.estimateIf(hi, true), 5e-3);
+
+    // Without a prior, the cross-class data stands in.
+    ServiceEstimator bare;
+    bare.add(done, 2e-3);
+    EXPECT_EQ(bare.estimateIf(hi, true), 2e-3);
 }
 
-TEST(ServiceEstimatorQuantiles, SaveRestoreContinuesBitExactly)
+TEST(ServiceEstimator, SaveRestoreContinuesBitExactly)
 {
     ServiceEstimator a(2e-3);
     TaskSnapshot task;
@@ -221,14 +228,14 @@ TEST(ServiceEstimatorQuantiles, SaveRestoreContinuesBitExactly)
             TaskSnapshot probe;
             probe.priority = pri;
             EXPECT_EQ(a.estimateIf(probe, spr), b.estimateIf(probe, spr));
-            EXPECT_EQ(a.quantileIf(probe, spr), b.quantileIf(probe, spr));
         }
     }
     task.priority = 1;
     task.sprint_granted = true;
     a.add(task, 3e-4);
     b.add(task, 3e-4);
-    EXPECT_EQ(a.quantileIf(task, true), b.quantileIf(task, true));
+    EXPECT_EQ(a.estimateIf(task, true), b.estimateIf(task, true));
+    EXPECT_EQ(a.save(), b.save());
 }
 
 } // namespace
